@@ -1,31 +1,33 @@
-//! Checkpoint-based fault tolerance on top of runtime dynamic optimization.
+//! The dynamic driver's stage journal: checkpoint-based fault tolerance.
 //!
 //! The paper's conclusion points out that the materialized intermediate results
 //! the dynamic approach produces anyway can double as *checkpoints*: "runtime
 //! dynamic optimization can also be used as a way to achieve fault-tolerance by
 //! integrating checkpoints. That would help the system to recover from a
 //! failure by not having to start over from the beginning of a long-running
-//! query." This module implements that extension.
+//! query." This module holds the journal that makes that work.
 //!
-//! [`CheckpointedDriver`] runs the same stages as [`crate::DynamicDriver`]
-//! (predicate push-down, one materialized join per re-optimization point, final
-//! job) but records every completed stage in a [`CheckpointLog`] and leaves the
-//! materialized intermediates in the catalog when a failure interrupts the run.
-//! A subsequent execution with the same log *replays* the completed stages —
-//! reusing their intermediates and statistics — and only executes the remaining
-//! ones. [`FailureInjector`] provides deterministic failure injection for tests
-//! and experiments.
+//! Every execution of [`crate::DynamicDriver`] journals each completed stage
+//! (a predicate push-down or a materialized join) in a [`CheckpointLog`]:
+//! the stage's intermediate table, the remaining query after reconstruction
+//! and the stage's audit records. [`crate::DynamicDriver::execute`] uses a
+//! private log and drops its tables whatever happens.
+//! [`crate::DynamicDriver::resume`] takes the caller's log instead: when the
+//! run fails, the journaled intermediates stay in the catalog, and the next
+//! `resume` with the same log *replays* those stages (adopting their tables
+//! and statistics) and only executes the remaining ones. On success the
+//! tables are dropped and the log is cleared. A log remembers the query it
+//! was opened for and refuses to resume any other. Journaled tables carry the
+//! names of the query's own intermediates, so executing the same query on the
+//! catalog in between drops them, and the next resume fails cleanly.
+//!
+//! [`FailureInjector`], carried by the log, provides deterministic failure
+//! injection for tests and experiments.
 
-use crate::driver::{project_result, sanitize, DynamicConfig, DynamicDriver};
-use rdo_common::{RdoError, Relation, Result};
-use rdo_exec::ExecutionMetrics;
-use rdo_parallel::{materialize, ParallelExecutor, WorkerPool};
-use rdo_planner::greedy::join_edges;
-use rdo_planner::{
-    reconstruct_after_join, reconstruct_after_pushdown, CostBasedOptimizer, GreedyPlanner,
-    Optimizer, QuerySpec,
-};
+use rdo_common::{RdoError, Result};
+use rdo_planner::{LearnedStatsCatalog, QuerySpec};
 use rdo_storage::Catalog;
+use rdo_trace::audit::{EstimateRecord, ReoptDecision};
 
 /// Deterministic failure injection: the run fails after a given number of
 /// newly executed (and checkpointed) stages.
@@ -47,31 +49,26 @@ impl FailureInjector {
         }
     }
 
-    fn should_fail(&self, executed_stages: u32) -> bool {
+    pub(crate) fn should_fail(&self, executed_stages: u32) -> bool {
         matches!(self.fail_after, Some(limit) if executed_stages >= limit)
     }
-}
-
-/// The kind of checkpointed stage.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum StageKind {
-    /// A pushed-down single-variable query (Algorithm 1 lines 6–9).
-    Pushdown,
-    /// A materialized join from the re-optimization loop.
-    Join,
 }
 
 /// One completed (and materialized) stage.
 #[derive(Debug, Clone)]
 pub struct CheckpointEntry {
-    /// What the stage was.
-    pub kind: StageKind,
-    /// Human-readable description (plan signature).
+    /// The stage's entry in `stage_plans` (its plan signature, prefixed with
+    /// `pushdown` for a push-down stage).
     pub description: String,
     /// Name of the materialized temporary table holding the stage's output.
     pub table: String,
     /// The remaining query after the stage's reconstruction.
     pub spec_after: QuerySpec,
+    /// The stage's estimate-vs-actual audit record.
+    pub estimate: EstimateRecord,
+    /// The re-optimization decision that chose the stage; `None` for a
+    /// push-down stage.
+    pub decision: Option<ReoptDecision>,
 }
 
 /// The durable record of completed stages. In AsterixDB this would live next to
@@ -81,12 +78,24 @@ pub struct CheckpointEntry {
 pub struct CheckpointLog {
     /// Completed stages in execution order.
     pub entries: Vec<CheckpointEntry>,
+    /// Failure injection applied to every execution that uses this log.
+    pub injector: FailureInjector,
+    /// Name and identity of the query the log was opened for; set by the
+    /// first resume, reset when a run succeeds.
+    query: Option<(String, String)>,
 }
 
 impl CheckpointLog {
     /// An empty log.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Sets the failure injection of the executions using this log (builder
+    /// style).
+    pub fn with_injector(mut self, injector: FailureInjector) -> Self {
+        self.injector = injector;
+        self
     }
 
     /// Number of checkpointed stages.
@@ -103,228 +112,66 @@ impl CheckpointLog {
     pub fn tables(&self) -> Vec<String> {
         self.entries.iter().map(|e| e.table.clone()).collect()
     }
-}
 
-/// The outcome of a checkpointed (possibly recovering) execution.
-#[derive(Debug, Clone)]
-pub struct RecoveredOutcome {
-    /// The final query result, projected onto the SELECT list.
-    pub result: Relation,
-    /// Metrics of the work done *by this execution* (recovered stages cost
-    /// nothing — that is the point of the checkpoint).
-    pub metrics: ExecutionMetrics,
-    /// Stages replayed from the checkpoint log.
-    pub stages_recovered: u32,
-    /// Stages newly executed by this run.
-    pub stages_executed: u32,
-    /// Plan signature of every stage this run executed (recovered stages are
-    /// annotated).
-    pub stage_plans: Vec<String>,
-}
-
-/// A dynamic-optimization driver whose stages double as recovery checkpoints.
-#[derive(Debug, Clone)]
-pub struct CheckpointedDriver {
-    /// Dynamic-optimization configuration (shared with [`DynamicDriver`]).
-    pub config: DynamicConfig,
-}
-
-impl CheckpointedDriver {
-    /// Creates a checkpointed driver.
-    pub fn new(config: DynamicConfig) -> Self {
-        Self { config }
+    /// Journals a completed stage. When the injector triggers on this run's
+    /// newest stage (the log held `recovered` entries before the run), the
+    /// run fails with the entry kept.
+    pub(crate) fn record(&mut self, entry: CheckpointEntry, recovered: u32) -> Result<()> {
+        self.entries.push(entry);
+        let executed = self.entries.len() as u32 - recovered;
+        if self.injector.should_fail(executed) {
+            return Err(RdoError::Execution(format!(
+                "injected failure after {executed} newly executed stage(s); checkpoints retained"
+            )));
+        }
+        Ok(())
     }
 
-    /// Executes (or resumes) the query. Completed stages found in `log` are
-    /// replayed from their materialized intermediates; newly completed stages
-    /// are appended to `log`. When `injector` triggers, the run returns an
-    /// execution error and leaves both the log and the intermediates in place
-    /// so a later call can resume. On success every temporary table is dropped
-    /// and the log is cleared.
-    pub fn execute(
-        &self,
-        spec: &QuerySpec,
-        catalog: &mut Catalog,
-        injector: FailureInjector,
-        log: &mut CheckpointLog,
-    ) -> Result<RecoveredOutcome> {
-        spec.validate()?;
-        // Shared persistent pool + spill policy, exactly as in DynamicDriver:
-        // spilled checkpoints survive between the failed and the recovering
-        // execution because the catalog keeps the same spill manager for an
-        // unchanged configuration.
-        catalog.configure_spill(self.config.spill)?;
-        let pool = WorkerPool::new(self.config.parallel.workers);
-        let transport = rdo_net::transport_from_config(&self.config.parallel)?;
-        let planner = GreedyPlanner::new(self.config.policy, self.config.rule);
-        let mut metrics = ExecutionMetrics::new();
-        let mut stage_plans = Vec::new();
-        let mut executed = 0u32;
-        let mut reoptimization_points = 0u32;
-        let mut intermediate_counter = 0usize;
-
-        // ---- Replay the checkpointed stages. ----
-        let mut spec = spec.clone();
-        for entry in &log.entries {
-            if !catalog.has_table(&entry.table) {
-                return Err(RdoError::Execution(format!(
-                    "checkpointed intermediate `{}` is missing from the catalog; cannot recover",
-                    entry.table
-                )));
-            }
-            if entry.kind == StageKind::Join {
-                reoptimization_points += 1;
-                intermediate_counter += 1;
-            }
-            stage_plans.push(format!("recovered {}", entry.description));
-            spec = entry.spec_after.clone();
-        }
-        let stages_recovered = log.len() as u32;
-
-        // ---- Predicate push-down stage (skipping already-recovered aliases). ----
-        if self.config.push_down_predicates {
-            loop {
-                let candidates = spec.pushdown_candidates();
-                let Some(alias) = candidates.first().cloned() else {
-                    break;
-                };
-                let mut stage_metrics = ExecutionMetrics::new();
-                let plan = DynamicDriver::pushdown_plan(&spec, &alias)?;
-                let description = format!("pushdown {}", plan.signature());
-                let data = {
-                    let executor =
-                        ParallelExecutor::with_pool(catalog, self.config.parallel, pool.clone())
-                            .with_transport(std::sync::Arc::clone(&transport));
-                    executor.execute(&plan, &mut stage_metrics)?
-                };
-                let table = format!("{}__ckpt_{}_filtered", sanitize(&spec.name), alias);
-                let partition_key = spec
-                    .joins_involving(&alias)
-                    .first()
-                    .and_then(|j| j.key_of(&alias))
-                    .map(|k| k.field.clone());
-                let tracked = DynamicDriver::tracked_columns(&spec, &alias);
-                materialize(
-                    &pool,
-                    catalog,
-                    &table,
-                    &data,
-                    partition_key.as_deref(),
-                    &tracked,
-                    self.config.collect_online_stats,
-                    &mut stage_metrics,
-                )?;
-                spec = reconstruct_after_pushdown(&spec, &alias, &table);
-                metrics.add(&stage_metrics);
-                stage_plans.push(description.clone());
-                log.entries.push(CheckpointEntry {
-                    kind: StageKind::Pushdown,
-                    description,
-                    table,
-                    spec_after: spec.clone(),
-                });
-                executed += 1;
-                if injector.should_fail(executed) {
-                    return Err(injected_failure(executed));
-                }
+    /// Binds the log to `spec`, or checks that it is already bound to it.
+    /// A mismatch is an error and changes nothing.
+    pub(crate) fn open(&mut self, spec: &QuerySpec) -> Result<()> {
+        let identity = query_identity(spec);
+        match &self.query {
+            Some((name, opened)) if *opened != identity => Err(RdoError::InvalidQuery(format!(
+                "checkpoint log was opened for query `{name}`; `{}` cannot resume from it",
+                spec.name
+            ))),
+            Some(_) => Ok(()),
+            None => {
+                self.query = Some((spec.name.clone(), identity));
+                Ok(())
             }
         }
+    }
 
-        // ---- Re-optimization loop, one checkpoint per materialized join. ----
-        while join_edges(&spec).len() > 2
-            && self
-                .config
-                .reopt_budget
-                .is_none_or(|budget| reoptimization_points < budget)
-        {
-            reoptimization_points += 1;
-            let planned = planner.next_join(&spec, catalog, catalog.stats())?;
-            let plan = planner.join_plan(&spec, &planned)?;
-            let description = plan.signature();
-
-            let mut stage_metrics = ExecutionMetrics::new();
-            let data = {
-                let executor =
-                    ParallelExecutor::with_pool(catalog, self.config.parallel, pool.clone())
-                        .with_transport(std::sync::Arc::clone(&transport));
-                executor.execute(&plan, &mut stage_metrics)?
-            };
-            intermediate_counter += 1;
-            let table = format!("{}__ckptI{}", sanitize(&spec.name), intermediate_counter);
-            let new_spec =
-                reconstruct_after_join(&spec, &planned.probe_alias, &planned.build_alias, &table);
-            let remaining_edges = join_edges(&new_spec).len();
-            let collect = self.config.collect_online_stats && remaining_edges > 2;
-            let tracked = DynamicDriver::tracked_columns(&new_spec, &table);
-            let partition_key = planned.keys.first().map(|(probe, _)| probe.field.clone());
-            materialize(
-                &pool,
-                catalog,
-                &table,
-                &data,
-                partition_key.as_deref(),
-                &tracked,
-                collect,
-                &mut stage_metrics,
-            )?;
-            spec = new_spec;
-            metrics.add(&stage_metrics);
-            stage_plans.push(description.clone());
-            log.entries.push(CheckpointEntry {
-                kind: StageKind::Join,
-                description,
-                table,
-                spec_after: spec.clone(),
-            });
-            executed += 1;
-            if injector.should_fail(executed) {
-                return Err(injected_failure(executed));
-            }
+    /// Drops every journaled intermediate from `catalog` and empties the log
+    /// (the injector stays).
+    pub(crate) fn retire(&mut self, catalog: &mut Catalog) {
+        for entry in self.entries.drain(..) {
+            catalog.drop_table(&entry.table);
         }
-
-        // ---- Final job (never checkpointed: its output is the result). ----
-        let final_plan = if join_edges(&spec).len() > 2 {
-            CostBasedOptimizer::new(self.config.rule).plan(&spec, catalog, catalog.stats())?
-        } else {
-            planner.plan_remaining(&spec, catalog, catalog.stats())?
-        };
-        stage_plans.push(final_plan.signature());
-        let mut stage_metrics = ExecutionMetrics::new();
-        let relation = {
-            let executor = ParallelExecutor::with_pool(catalog, self.config.parallel, pool.clone())
-                .with_transport(std::sync::Arc::clone(&transport));
-            executor.execute_to_relation(&final_plan, &mut stage_metrics)?
-        };
-        metrics.add(&stage_metrics);
-        let result = project_result(relation, &spec.projection)?;
-
-        // Success: the checkpoints are no longer needed.
-        for table in log.tables() {
-            catalog.drop_table(&table);
-        }
-        log.entries.clear();
-
-        Ok(RecoveredOutcome {
-            result,
-            metrics,
-            stages_recovered,
-            stages_executed: executed,
-            stage_plans,
-        })
+        self.query = None;
     }
 }
 
-fn injected_failure(executed: u32) -> RdoError {
-    RdoError::Execution(format!(
-        "injected failure after {executed} newly executed stage(s); checkpoints retained"
-    ))
+/// Everything that makes two specs the same query: the name, the datasets,
+/// the joins, the projection and the value-qualified predicates.
+fn query_identity(spec: &QuerySpec) -> String {
+    format!(
+        "{}|{:?}|{:?}|{:?}|{}",
+        spec.name,
+        spec.datasets,
+        spec.joins,
+        spec.projection,
+        LearnedStatsCatalog::filter_key("", &spec.predicates)
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::driver::DynamicDriver;
-    use rdo_common::{DataType, FieldRef, Schema, Tuple, Value};
+    use crate::driver::{DynamicConfig, DynamicDriver};
+    use rdo_common::{DataType, FieldRef, Relation, Schema, Tuple, Value};
     use rdo_exec::{CmpOp, Predicate};
     use rdo_planner::DatasetRef;
     use rdo_storage::IngestOptions;
@@ -415,19 +262,21 @@ mod tests {
             .sorted()
     }
 
+    fn driver() -> DynamicDriver {
+        DynamicDriver::new(DynamicConfig::default())
+    }
+
     #[test]
     fn no_failure_matches_the_plain_dynamic_driver() {
         let mut cat = catalog();
         let expected = reference_result(&mut cat);
         let tables_before = cat.table_names();
         let mut log = CheckpointLog::new();
-        let outcome = CheckpointedDriver::new(DynamicConfig::default())
-            .execute(&spec(), &mut cat, FailureInjector::none(), &mut log)
-            .unwrap();
-        assert_eq!(outcome.result.sorted(), expected);
+        let outcome = driver().resume(&spec(), &mut cat, &mut log).unwrap();
+        assert_eq!(outcome.result.clone().sorted(), expected);
         assert_eq!(outcome.stages_recovered, 0);
         assert!(
-            outcome.stages_executed >= 3,
+            outcome.stages_executed() >= 3,
             "pushdowns + at least one join"
         );
         assert!(log.is_empty(), "log cleared after success");
@@ -438,18 +287,12 @@ mod tests {
     fn failure_then_recovery_reuses_checkpointed_stages() {
         let mut cat = catalog();
         let expected = reference_result(&mut cat);
-        let driver = CheckpointedDriver::new(DynamicConfig::default());
-        let mut log = CheckpointLog::new();
+        let tables_before = cat.table_names();
+        let driver = driver();
+        let mut log = CheckpointLog::new().with_injector(FailureInjector::after_stages(2));
 
         // First run: crash after two completed stages.
-        let error = driver
-            .execute(
-                &spec(),
-                &mut cat,
-                FailureInjector::after_stages(2),
-                &mut log,
-            )
-            .unwrap_err();
+        let error = driver.resume(&spec(), &mut cat, &mut log).unwrap_err();
         assert!(error.to_string().contains("injected failure"));
         assert_eq!(
             log.len(),
@@ -464,19 +307,19 @@ mod tests {
         }
 
         // Second run: resumes from the log and finishes.
-        let outcome = driver
-            .execute(&spec(), &mut cat, FailureInjector::none(), &mut log)
-            .unwrap();
+        log.injector = FailureInjector::none();
+        let outcome = driver.resume(&spec(), &mut cat, &mut log).unwrap();
         assert_eq!(outcome.stages_recovered, 2);
-        assert!(outcome.stages_executed >= 1);
+        assert!(outcome.stages_executed() >= 1);
         assert_eq!(
-            outcome.result.sorted(),
+            outcome.result.clone().sorted(),
             expected,
             "recovered run must agree"
         );
         assert!(log.is_empty());
-        assert!(
-            cat.table_names().iter().all(|t| !t.contains("__ckpt")),
+        assert_eq!(
+            cat.table_names(),
+            tables_before,
             "all checkpoints dropped after success"
         );
     }
@@ -485,17 +328,12 @@ mod tests {
     fn repeated_failures_make_progress_and_eventually_finish() {
         let mut cat = catalog();
         let expected = reference_result(&mut cat);
-        let driver = CheckpointedDriver::new(DynamicConfig::default());
-        let mut log = CheckpointLog::new();
+        let driver = driver();
+        let mut log = CheckpointLog::new().with_injector(FailureInjector::after_stages(1));
         let mut attempts = 0;
         let outcome = loop {
             attempts += 1;
-            match driver.execute(
-                &spec(),
-                &mut cat,
-                FailureInjector::after_stages(1),
-                &mut log,
-            ) {
+            match driver.resume(&spec(), &mut cat, &mut log) {
                 Ok(outcome) => break outcome,
                 Err(_) => {
                     assert!(attempts < 20, "must converge");
@@ -510,38 +348,23 @@ mod tests {
     #[test]
     fn missing_checkpoint_table_is_detected() {
         let mut cat = catalog();
-        let driver = CheckpointedDriver::new(DynamicConfig::default());
-        let mut log = CheckpointLog::new();
-        driver
-            .execute(
-                &spec(),
-                &mut cat,
-                FailureInjector::after_stages(1),
-                &mut log,
-            )
-            .unwrap_err();
+        let driver = driver();
+        let mut log = CheckpointLog::new().with_injector(FailureInjector::after_stages(1));
+        driver.resume(&spec(), &mut cat, &mut log).unwrap_err();
         // Simulate losing the materialized intermediate (e.g. local disk wiped).
         let table = log.tables()[0].clone();
         cat.drop_table(&table);
-        let error = driver
-            .execute(&spec(), &mut cat, FailureInjector::none(), &mut log)
-            .unwrap_err();
+        log.injector = FailureInjector::none();
+        let error = driver.resume(&spec(), &mut cat, &mut log).unwrap_err();
         assert!(error.to_string().contains("missing from the catalog"));
     }
 
     #[test]
     fn injector_that_never_triggers_lets_the_run_finish() {
         let mut cat = catalog();
-        let mut log = CheckpointLog::new();
-        let outcome = CheckpointedDriver::new(DynamicConfig::default())
-            .execute(
-                &spec(),
-                &mut cat,
-                FailureInjector::after_stages(100),
-                &mut log,
-            )
-            .unwrap();
-        assert!(outcome.stages_executed < 100);
+        let mut log = CheckpointLog::new().with_injector(FailureInjector::after_stages(100));
+        let outcome = driver().resume(&spec(), &mut cat, &mut log).unwrap();
+        assert!(outcome.stages_executed() < 100);
         assert!(log.is_empty());
     }
 
@@ -550,15 +373,44 @@ mod tests {
         let mut log = CheckpointLog::new();
         assert!(log.is_empty());
         log.entries.push(CheckpointEntry {
-            kind: StageKind::Pushdown,
             description: "x".into(),
             table: "t".into(),
             spec_after: QuerySpec::new("q"),
+            estimate: EstimateRecord {
+                stage: "pushdown:x".into(),
+                operator: "x".into(),
+                estimated_rows: None,
+                actual_rows: 0,
+            },
+            decision: None,
         });
         assert_eq!(log.len(), 1);
         assert_eq!(log.tables(), vec!["t".to_string()]);
         assert!(!FailureInjector::none().should_fail(10));
         assert!(FailureInjector::after_stages(2).should_fail(2));
         assert!(!FailureInjector::after_stages(2).should_fail(1));
+    }
+
+    #[test]
+    fn a_log_binds_to_the_first_query_it_resumes() {
+        let mut log = CheckpointLog::new();
+        log.open(&spec()).unwrap();
+        log.open(&spec()).unwrap();
+        let renamed = QuerySpec {
+            name: "other".into(),
+            ..spec()
+        };
+        let error = log.open(&renamed).unwrap_err();
+        assert!(error.to_string().contains("ckpt-query"), "{error}");
+        // Same name, different literal: still another query.
+        let relit = spec().with_predicate(Predicate::compare(
+            FieldRef::new("d3", "id"),
+            CmpOp::Lt,
+            7i64,
+        ));
+        assert!(log.open(&relit).is_err());
+        // Retiring the log unbinds it.
+        log.retire(&mut Catalog::new(1));
+        log.open(&renamed).unwrap();
     }
 }

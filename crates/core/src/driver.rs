@@ -1,5 +1,6 @@
 //! The runtime dynamic optimization driver (Algorithm 1 of the paper).
 
+use crate::checkpoint::{CheckpointEntry, CheckpointLog};
 use rdo_common::{FieldRef, RdoError, Relation, Result, Tuple};
 use rdo_exec::{ExecutionMetrics, PhysicalPlan};
 use rdo_parallel::{
@@ -206,27 +207,42 @@ impl DynamicConfig {
 pub struct DynamicOutcome {
     /// The final query result (already projected onto the SELECT list).
     pub result: Relation,
-    /// Metrics of everything the driver executed (including overheads).
+    /// Metrics of everything this execution ran (including overheads).
+    /// Stages replayed from a checkpoint log cost nothing: that is the point
+    /// of the checkpoint.
     pub total: ExecutionMetrics,
     /// Subset of `total` incurred by the predicate push-down stage.
     pub pushdown: ExecutionMetrics,
-    /// Number of Planner invocations (re-optimization points + final planning).
+    /// Number of Planner invocations this execution made (re-optimization
+    /// points it executed + final planning).
     pub planner_invocations: u32,
-    /// Number of materialized intermediate results (re-optimization points).
+    /// Number of materialized intermediate results (re-optimization points),
+    /// replayed ones included.
     pub reoptimization_points: u32,
-    /// Signature of the plan executed at every stage, in order.
+    /// Signature of the plan executed at every stage, in order. A stage
+    /// replayed from a checkpoint log is prefixed with `recovered `.
     pub stage_plans: Vec<String>,
     /// The optimizer audit trail: per-stage estimate-vs-actual records plus
     /// one decision explanation per re-optimization point. Derived entirely
     /// from deterministic coordinator-side quantities, so it is bit-identical
-    /// across worker counts and transports.
+    /// across worker counts and transports, and a resumed execution's trail
+    /// equals an uninterrupted one's.
     pub audit: AuditLog,
+    /// Stages replayed from the checkpoint log instead of executed
+    /// (always 0 for [`DynamicDriver::execute`]).
+    pub stages_recovered: u32,
 }
 
 impl DynamicOutcome {
     /// The overall plan shape as a single string (for EXPLAIN-style reports).
     pub fn plan_description(&self) -> String {
         self.stage_plans.join(" ; ")
+    }
+
+    /// Stages before the final job that this execution ran itself (push-downs
+    /// and materialized joins, not counting replayed ones).
+    pub fn stages_executed(&self) -> u32 {
+        (self.stage_plans.len() as u32).saturating_sub(1 + self.stages_recovered)
     }
 }
 
@@ -266,6 +282,46 @@ impl DynamicDriver {
         catalog: &mut Catalog,
         transport: Arc<dyn Transport>,
     ) -> Result<DynamicOutcome> {
+        // A private journal: no later attempt resumes from it, so a failed
+        // run drops the intermediates it kept.
+        let mut journal = CheckpointLog::new();
+        let outcome = self.run(spec, catalog, transport, &mut journal);
+        journal.retire(catalog);
+        outcome
+    }
+
+    /// Executes or resumes the query against the caller's checkpoint log.
+    ///
+    /// Stages already journaled in `log` are replayed: their intermediates
+    /// and remaining queries are adopted instead of executed (replayed joins
+    /// count against [`DynamicConfig::reopt_budget`]). The remaining stages
+    /// run exactly as in [`DynamicDriver::execute`] and are appended to the
+    /// log. When the run fails (including a failure injected by
+    /// [`CheckpointLog::injector`]), the journaled intermediates stay in the
+    /// catalog so a later call can resume; on success they are dropped and
+    /// the log is cleared. A log opened for another query is rejected with
+    /// an error, leaving the catalog and the log untouched.
+    pub fn resume(
+        &self,
+        spec: &QuerySpec,
+        catalog: &mut Catalog,
+        log: &mut CheckpointLog,
+    ) -> Result<DynamicOutcome> {
+        log.open(spec)?;
+        let transport = rdo_net::transport_from_config(&self.config.parallel)?;
+        self.run(spec, catalog, transport, log)
+    }
+
+    /// Algorithm 1, journaling every materialized stage in `journal` and
+    /// replaying the stages it already holds. Success retires the journal;
+    /// failure leaves it to the caller.
+    fn run(
+        &self,
+        spec: &QuerySpec,
+        catalog: &mut Catalog,
+        transport: Arc<dyn Transport>,
+        journal: &mut CheckpointLog,
+    ) -> Result<DynamicOutcome> {
         spec.validate()?;
         // One persistent worker pool per execution, shared by every stage's
         // executor and Sink barrier (threads spawn once, not per stage), and
@@ -290,12 +346,34 @@ impl DynamicDriver {
         let mut reoptimization_points = 0u32;
         let mut stage_plans = Vec::new();
         let mut audit = AuditLog::default();
-        let mut temp_tables: Vec<String> = Vec::new();
         let mut intermediate_counter = 0usize;
+        let stages_recovered = journal.len() as u32;
 
         let outcome = (|| -> Result<DynamicOutcome> {
             let mut root = rdo_trace::span("driver.execute");
             root.attr_str("query", &spec.name);
+            // ---- Replay: adopt the stages a failed run journaled. ----
+            if !journal.is_empty() {
+                let mut replay_span = rdo_trace::span("stage.replay");
+                replay_span.attr_u64("stages", stages_recovered as u64);
+                for entry in &journal.entries {
+                    if !catalog.has_table(&entry.table) {
+                        return Err(RdoError::Execution(format!(
+                            "checkpointed intermediate `{}` is missing from the catalog; cannot recover",
+                            entry.table
+                        )));
+                    }
+                    if let Some(decision) = &entry.decision {
+                        reoptimization_points += 1;
+                        intermediate_counter += 1;
+                        audit.decisions.push(decision.clone());
+                    }
+                    audit.estimates.push(entry.estimate.clone());
+                    stage_plans.push(format!("recovered {}", entry.description));
+                    spec = entry.spec_after.clone();
+                }
+            }
+
             // ---- Stage 1: predicate push-down (Algorithm 1, lines 6–9). ----
             if self.config.push_down_predicates {
                 for alias in spec.pushdown_candidates() {
@@ -304,7 +382,8 @@ impl DynamicDriver {
                     rdo_trace::note("stage", &format!("pushdown:{alias}"));
                     let mut stage_metrics = ExecutionMetrics::new();
                     let plan = Self::pushdown_plan(&spec, &alias)?;
-                    stage_plans.push(format!("pushdown {}", plan.signature()));
+                    let description = format!("pushdown {}", plan.signature());
+                    stage_plans.push(description.clone());
                     // The value-qualified signature of this filtered scan —
                     // the key repeat queries find the measured cardinality
                     // under (the plan signature alone is predicate-blind).
@@ -349,19 +428,27 @@ impl DynamicDriver {
                         self.config.collect_online_stats,
                         &mut stage_metrics,
                     )?;
-                    audit.estimates.push(EstimateRecord {
+                    let estimate = EstimateRecord {
                         stage: format!("pushdown:{alias}"),
                         operator: plan.signature(),
                         estimated_rows,
                         actual_rows: materialized.rows,
-                    });
+                    };
+                    audit.estimates.push(estimate.clone());
                     if let Some(learned) = &self.config.learned {
                         learned.observe(&learned_key, materialized.rows);
                     }
-                    temp_tables.push(table_name.clone());
                     spec = reconstruct_after_pushdown(&spec, &alias, &table_name);
                     pushdown.add(&stage_metrics);
                     total.add(&stage_metrics);
+                    let entry = CheckpointEntry {
+                        description,
+                        table: table_name,
+                        spec_after: spec.clone(),
+                        estimate,
+                        decision: None,
+                    };
+                    journal.record(entry, stages_recovered)?;
                 }
             }
 
@@ -397,14 +484,15 @@ impl DynamicDriver {
                 // Explain the decision: the estimate the last stage corrected,
                 // the join the refreshed statistics picked, and the alternative
                 // it rejected.
-                audit.decisions.push(ReoptDecision {
+                let decision = ReoptDecision {
                     point: reoptimization_points,
                     trigger: audit.estimates.last().cloned(),
                     chosen: plan.signature(),
                     chosen_cardinality: planned.estimated_cardinality,
                     chosen_score: planned.score,
                     runner_up,
-                });
+                };
+                audit.decisions.push(decision.clone());
 
                 let mut stage_metrics = ExecutionMetrics::new();
                 let data = {
@@ -439,21 +527,29 @@ impl DynamicDriver {
                     collect,
                     &mut stage_metrics,
                 )?;
-                audit.estimates.push(EstimateRecord {
+                let estimate = EstimateRecord {
                     stage: format!("reopt#{reoptimization_points}"),
                     operator: plan.signature(),
                     estimated_rows: Some(planned.estimated_cardinality),
                     actual_rows: materialized.rows,
-                });
+                };
+                audit.estimates.push(estimate.clone());
                 // Join-stage cardinalities are NOT recorded in the learned
                 // catalog: `plan.signature()` renders filtered-scan leaves
                 // predicate-blind (`σ(table)`), so the key would collide
                 // across queries with different constants. Only the
                 // value-qualified `filter_key` observations of the push-down
                 // stages feed the catalog.
-                temp_tables.push(name);
                 spec = new_spec;
                 total.add(&stage_metrics);
+                let entry = CheckpointEntry {
+                    description: plan.signature(),
+                    table: name,
+                    spec_after: spec.clone(),
+                    estimate,
+                    decision: Some(decision),
+                };
+                journal.record(entry, stages_recovered)?;
             }
 
             // ---- Stage 3: final job. With an unlimited budget at most two joins
@@ -514,12 +610,15 @@ impl DynamicDriver {
                 reoptimization_points,
                 stage_plans,
                 audit,
+                stages_recovered,
             })
         })();
 
-        // Always clean up temporary tables, even on error.
-        for table in &temp_tables {
-            catalog.drop_table(table);
+        // Success retires the journal: its intermediates are no longer
+        // needed. A failure leaves them for the caller to resume from (or,
+        // for `execute`'s private journal, to drop).
+        if outcome.is_ok() {
+            journal.retire(catalog);
         }
         // RDO_TRACE names a Chrome trace_event export path: write the profile
         // collected by this execution there (last run wins). API users call
@@ -537,7 +636,7 @@ impl DynamicDriver {
     /// Builds the single-variable query for one pushed-down dataset (the paper's
     /// Q2/Q3): its local predicates plus a projection onto the attributes the
     /// remaining query needs.
-    pub(crate) fn pushdown_plan(spec: &QuerySpec, alias: &str) -> Result<PhysicalPlan> {
+    fn pushdown_plan(spec: &QuerySpec, alias: &str) -> Result<PhysicalPlan> {
         let table = spec.table_of(alias)?;
         let predicates = spec.predicates_for(alias).into_iter().cloned().collect();
         let projection = spec.required_columns(alias, false);
@@ -550,7 +649,7 @@ impl DynamicDriver {
 
     /// The columns of `alias` worth collecting statistics on: its join keys in
     /// the (remaining) query.
-    pub(crate) fn tracked_columns(spec: &QuerySpec, alias: &str) -> Vec<String> {
+    fn tracked_columns(spec: &QuerySpec, alias: &str) -> Vec<String> {
         spec.join_key_columns().remove(alias).unwrap_or_default()
     }
 }
@@ -575,7 +674,7 @@ pub fn project_result(relation: Relation, projection: &[FieldRef]) -> Result<Rel
     Relation::new(out_schema, rows).map_err(|e| RdoError::Execution(e.to_string()))
 }
 
-pub(crate) fn sanitize(name: &str) -> String {
+fn sanitize(name: &str) -> String {
     name.chars()
         .map(|c| if c.is_alphanumeric() { c } else { '_' })
         .collect()

@@ -6,6 +6,13 @@
 //! collecting online statistics, reconstruct the remaining query around the
 //! intermediate, and stop re-optimizing once at most two joins remain.
 //!
+//! Every materialized stage is journaled in a [`CheckpointLog`], so the
+//! intermediates double as checkpoints (the paper's fault-tolerance remark):
+//! [`DynamicDriver::execute`] runs with a private log it throws away, and
+//! [`DynamicDriver::resume`] runs with the caller's log, keeping the journaled
+//! intermediates when a run fails and replaying them on the next call instead
+//! of starting over.
+//!
 //! The [`QueryRunner`] executes the same query under any of the strategies the
 //! paper compares (dynamic, INGRES-like, cost-based, best-order, worst-order,
 //! pilot-run, and the ablation variants used for Figure 6) and reports wall
@@ -16,10 +23,7 @@ pub mod driver;
 pub mod report;
 pub mod runner;
 
-pub use checkpoint::{
-    CheckpointEntry, CheckpointLog, CheckpointedDriver, FailureInjector, RecoveredOutcome,
-    StageKind,
-};
+pub use checkpoint::{CheckpointEntry, CheckpointLog, FailureInjector};
 pub use driver::{DynamicConfig, DynamicDriver, DynamicOutcome};
 pub use rdo_parallel::{ParallelConfig, ParallelExecutor, TransportKind};
 pub use report::{CostBreakdown, OverheadReport};

@@ -192,6 +192,7 @@ mod tests {
             reoptimization_points: 1,
             stage_plans: vec!["(a ⋈ b)".into()],
             audit: Default::default(),
+            stages_recovered: 0,
         }
     }
 
@@ -239,6 +240,7 @@ mod tests {
                 reoptimization_points: 0,
                 stage_plans: vec![],
                 audit: Default::default(),
+                stages_recovered: 0,
             },
             &CostModel::default(),
         );

@@ -28,7 +28,8 @@
 //! * [`planner`] — the query model, cardinality estimation, the greedy
 //!   next-join Planner and the static baselines (cost-based, best-order,
 //!   worst-order, pilot-run);
-//! * [`core`] — the runtime dynamic optimization driver (Algorithm 1) and the
+//! * [`core`] — the runtime dynamic optimization driver (Algorithm 1, with a
+//!   resume entry point that replays checkpointed stages) and the
 //!   strategy runner;
 //! * [`trace`] — the observability substrate: structured spans, counters,
 //!   gauges and latency histograms, the optimizer audit trail
@@ -43,9 +44,7 @@
 //! * [`server`] — the multi-query SQL server front-end: TCP sessions over a
 //!   length-prefixed frame protocol, one shared worker pool, global memory
 //!   admission (`RDO_SERVER_MEM_BUDGET`) and a learned-stats plan cache that
-//!   lets repeat queries plan from measured cardinalities;
-//! * [`lsm`] — the LSM ingestion substrate whose components carry the
-//!   ingestion-time statistics the paper's initial plans rely on.
+//!   lets repeat queries plan from measured cardinalities.
 //!
 //! # Quickstart
 //!
@@ -72,7 +71,6 @@
 pub use rdo_common as common;
 pub use rdo_core as core;
 pub use rdo_exec as exec;
-pub use rdo_lsm as lsm;
 pub use rdo_net as net;
 pub use rdo_parallel as parallel;
 pub use rdo_planner as planner;
@@ -91,14 +89,13 @@ pub mod prelude {
         Relation, Schema, Tuple, Value, BATCH_SIZE_ENV, COLUMNAR_ENV, DEFAULT_BATCH_SIZE,
     };
     pub use rdo_core::{
-        CheckpointLog, CheckpointedDriver, CostBreakdown, DynamicConfig, DynamicDriver,
-        DynamicOutcome, FailureInjector, OverheadReport, QueryRunner, RunReport, Strategy,
+        CheckpointLog, CostBreakdown, DynamicConfig, DynamicDriver, DynamicOutcome,
+        FailureInjector, OverheadReport, QueryRunner, RunReport, Strategy,
     };
     pub use rdo_exec::{
         AggregateExpr, AggregateFunc, CmpOp, CostModel, ExecutionMetrics, Executor, JoinAlgorithm,
         PhysicalPlan, PostProcess, Predicate, SortKey,
     };
-    pub use rdo_lsm::{LsmDataset, LsmOptions, PrefixMergePolicy, TieredMergePolicy};
     pub use rdo_net::{LocalCluster, TcpTransport};
     pub use rdo_parallel::{
         InProcessTransport, ParallelConfig, ParallelExecutor, Transport, TransportKind, WorkerPool,

@@ -1,5 +1,5 @@
 //! Interactions between the extension features: the re-optimization budget
-//! under the checkpointed driver, SQL-bound queries under the indexed
+//! across a checkpointed crash and resume, SQL-bound queries under the indexed
 //! nested-loop configuration, and correlation analysis driven from the catalog.
 
 use rdo_workloads::{compile_paper_query, q8, q9};
@@ -24,42 +24,30 @@ fn checkpointed_driver_respects_the_reopt_budget() {
         .sorted();
 
     // Crash the budgeted checkpointed run, then recover it.
-    let driver = CheckpointedDriver::new(budgeted);
-    let mut log = CheckpointLog::new();
+    let driver = DynamicDriver::new(budgeted);
+    let mut log = CheckpointLog::new().with_injector(FailureInjector::after_stages(1));
     driver
-        .execute(
-            &q9(),
-            &mut env.catalog,
-            FailureInjector::after_stages(1),
-            &mut log,
-        )
+        .resume(&q9(), &mut env.catalog, &mut log)
         .unwrap_err();
-    let recovered = driver
-        .execute(&q9(), &mut env.catalog, FailureInjector::none(), &mut log)
-        .unwrap();
-    assert_eq!(recovered.result.sorted(), expected);
+    log.injector = FailureInjector::none();
+    let recovered = driver.resume(&q9(), &mut env.catalog, &mut log).unwrap();
+    assert_eq!(recovered.result.clone().sorted(), expected);
 
     // The budget caps the number of Join-kind stages across crash + recovery:
     // with budget 1 the whole execution materializes at most one join beyond
     // the predicate push-downs. An uninterrupted budgeted run gives the bound.
-    let mut fresh_log = CheckpointLog::new();
     let uninterrupted = driver
-        .execute(
-            &q9(),
-            &mut env.catalog,
-            FailureInjector::none(),
-            &mut fresh_log,
-        )
+        .resume(&q9(), &mut env.catalog, &mut CheckpointLog::new())
         .unwrap();
-    let unlimited_run = CheckpointedDriver::new(unlimited)
-        .execute(
-            &q9(),
-            &mut env.catalog,
-            FailureInjector::none(),
-            &mut CheckpointLog::new(),
-        )
+    let unlimited_run = DynamicDriver::new(unlimited)
+        .resume(&q9(), &mut env.catalog, &mut CheckpointLog::new())
         .unwrap();
-    assert!(uninterrupted.stages_executed <= unlimited_run.stages_executed);
+    assert!(uninterrupted.stages_executed() <= unlimited_run.stages_executed());
+    assert!(recovered.reoptimization_points <= 1);
+    assert_eq!(
+        recovered.stages_recovered + recovered.stages_executed(),
+        uninterrupted.stages_executed()
+    );
 }
 
 #[test]

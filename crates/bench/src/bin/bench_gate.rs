@@ -24,13 +24,9 @@
 
 use rdo_common::{DataType, FieldRef, Relation, Schema, Tuple, Value};
 use rdo_core::{DynamicConfig, DynamicDriver, ParallelConfig};
-use rdo_exec::partition::{
-    hash_join_partition_chunked, hash_join_partition_rows, repartition_partition_chunked,
-    repartition_partition_rows, scan_partition_chunked, scan_partition_rows,
-};
+use rdo_exec::partition::{hash_join_partition, repartition_partition, scan_partition};
 use rdo_exec::{
     CmpOp, CostModel, ExecutionMetrics, Executor, JoinAlgorithm, PhysicalPlan, Predicate,
-    DEFAULT_BATCH_SIZE,
 };
 use rdo_storage::{Catalog, IngestOptions, SpillConfig};
 use rdo_workloads::{all_queries, BenchmarkEnv, ScaleFactor};
@@ -155,28 +151,16 @@ fn run_benchmarks() -> Vec<BenchRecord> {
         records.push(run_join(label, &catalog, algorithm, &model));
     }
 
-    // The kernel pair: the same scan → repartition → join pipeline over the
-    // micro-join data, once through the row-at-a-time reference kernels and
-    // once through the columnar batch kernels (pinned to the default batch
-    // size — no environment influence). The tallies, and therefore the gated
-    // simulated costs, are bit-identical between the two; the wall times give
-    // the row-vs-columnar comparison in the uploaded artifact.
-    for (label, columnar) in [("kernel/row", false), ("kernel/columnar", true)] {
-        records.push(run_kernel(label, &catalog, columnar, &model));
-    }
+    // The scan → repartition → join pipeline over the micro-join data,
+    // driven directly through the partition kernels.
+    records.push(run_kernel("kernel/row", &catalog, &model));
 
     // The grace/hybrid spillable join: the same hash join with a build-side
     // budget far below the per-partition build size, so every partition
     // partitions through the spill store.
     let mut grace_catalog = join_catalog(50_000, 10_000);
     grace_catalog
-        .configure_spill(
-            SpillConfig::default()
-                .with_join_budget(4_096)
-                // Pinned to the row page layout so the gated grace I/O cost
-                // keeps its historical meaning regardless of RDO_COLUMNAR.
-                .with_columnar(false),
-        )
+        .configure_spill(SpillConfig::default().with_join_budget(4_096))
         .expect("configure join budget");
     records.push(run_join(
         "join/grace",
@@ -187,27 +171,16 @@ fn run_benchmarks() -> Vec<BenchRecord> {
 
     // The spill I/O fast path: one oversized intermediate through the paged
     // store (1-byte budget forces the spill) and a scan back — page
-    // compression off vs on (row layout pinned, so the historical figures
-    // hold), then the columnar page layout on top of compression. The gated
-    // cost is the measured page I/O: the compressed leg must stay cheaper
-    // than the raw leg, and the columnar leg cheaper than the compressed
-    // row leg, or the fast path has regressed.
-    for (label, compress, columnar) in [
-        ("spill/raw", false, false),
-        ("spill/compressed", true, false),
-        ("spill/columnar", true, true),
-    ] {
-        records.push(run_spill(label, compress, columnar, &model));
+    // compression off vs on. The gated cost is the measured page I/O: the
+    // compressed leg must stay cheaper than the raw leg, or the fast path
+    // has regressed.
+    for (label, compress) in [("spill/raw", false), ("spill/compressed", true)] {
+        records.push(run_spill(label, compress, &model));
     }
 
-    // The at-rest storage layout: the same intermediate registered row-backed
-    // vs columnar-backed (batch-partition chunks), scanned and joined against
-    // a base dimension table. The logical tallies — and therefore the gated
-    // simulated costs — are bit-identical between the two; the wall times
-    // give the rest-format comparison in the uploaded artifact.
-    for (label, columnar) in [("storage/row", false), ("storage/columnar", true)] {
-        records.push(run_storage(label, columnar, &model));
-    }
+    // A resident intermediate registered, scanned and joined against a base
+    // dimension table.
+    records.push(run_storage("storage/row", &model));
 
     // The dynamic driver end to end on the four evaluation queries.
     let env = BenchmarkEnv::load(ScaleFactor::gb(2), 8, true, 42).expect("workload generation");
@@ -349,10 +322,8 @@ fn run_join(
 /// One scan → repartition → hash-join pass over the micro-join catalog,
 /// driven directly through the partition kernels: the filtered fact rows are
 /// shuffled on the join key, then each target partition probes the matching
-/// dim partition. `columnar` selects the batch kernels (at the pinned default
-/// batch size) vs the row-at-a-time reference kernels; both populate the
-/// metrics from the same tallies, so their simulated costs must coincide.
-fn run_kernel(label: &str, catalog: &Catalog, columnar: bool, model: &CostModel) -> BenchRecord {
+/// dim partition.
+fn run_kernel(label: &str, catalog: &Catalog, model: &CostModel) -> BenchRecord {
     let fact = catalog.table("fact").expect("fact table");
     let dim = catalog.table("dim").expect("dim table");
     let predicates = [Predicate::compare(
@@ -367,25 +338,12 @@ fn run_kernel(label: &str, catalog: &Catalog, columnar: bool, model: &CostModel)
     let start = Instant::now();
     let mut shuffled: Vec<Vec<Tuple>> = vec![Vec::new(); num_partitions];
     for p in 0..fact.num_partitions() {
-        let (kept, scan) = if columnar {
-            scan_partition_chunked(
-                fact.schema(),
-                &predicates,
-                None,
-                fact.partition(p),
-                DEFAULT_BATCH_SIZE,
-            )
-        } else {
-            scan_partition_rows(fact.schema(), &predicates, None, fact.partition(p))
-        }
-        .expect("kernel scan");
+        let (kept, scan) = scan_partition(fact.schema(), &predicates, None, fact.partition(p))
+            .expect("kernel scan");
         metrics.rows_scanned += scan.scanned_rows;
         metrics.bytes_scanned += scan.scanned_bytes;
-        let (buckets, moved_rows, moved_bytes) = if columnar {
-            repartition_partition_chunked(&kept, key_index, p, num_partitions, DEFAULT_BATCH_SIZE)
-        } else {
-            repartition_partition_rows(&kept, key_index, p, num_partitions)
-        };
+        let (buckets, moved_rows, moved_bytes) =
+            repartition_partition(&kept, key_index, p, num_partitions);
         metrics.rows_shuffled += moved_rows;
         metrics.bytes_shuffled += moved_bytes;
         for (bucket, out) in buckets.into_iter().zip(shuffled.iter_mut()) {
@@ -394,17 +352,7 @@ fn run_kernel(label: &str, catalog: &Catalog, columnar: bool, model: &CostModel)
     }
     let mut result_rows = 0u64;
     for (p, probe_rows) in shuffled.iter().enumerate() {
-        let (joined, tally) = if columnar {
-            hash_join_partition_chunked(
-                probe_rows,
-                dim.partition(p),
-                &[key_index],
-                &[0],
-                DEFAULT_BATCH_SIZE,
-            )
-        } else {
-            hash_join_partition_rows(probe_rows, dim.partition(p), &[key_index], &[0])
-        };
+        let (joined, tally) = hash_join_partition(probe_rows, dim.partition(p), &[key_index], &[0]);
         metrics.build_rows += tally.build_rows;
         metrics.probe_rows += tally.probe_rows;
         metrics.output_rows += tally.output_rows;
@@ -419,14 +367,13 @@ fn run_kernel(label: &str, catalog: &Catalog, columnar: bool, model: &CostModel)
     }
 }
 
-fn run_spill(label: &str, compress: bool, columnar: bool, model: &CostModel) -> BenchRecord {
+fn run_spill(label: &str, compress: bool, model: &CostModel) -> BenchRecord {
     let mut catalog = Catalog::new(8);
     catalog
         .configure_spill(
             SpillConfig::default()
                 .with_budget(1)
-                .with_compression(compress)
-                .with_columnar(columnar),
+                .with_compression(compress),
         )
         .expect("configure spill budget");
     let schema = Schema::for_dataset(
@@ -469,17 +416,12 @@ fn run_spill(label: &str, compress: bool, columnar: bool, model: &CostModel) -> 
     }
 }
 
-/// The at-rest layout pair: registers a fact-shaped intermediate with the
-/// catalog's rest format pinned to `columnar` (batch-partition chunks) or row
-/// vectors, then runs a hash join of the intermediate against a base
-/// dimension table. Registration and join both sit inside the timed region,
-/// so the wall times compare the full write-then-consume cycle of the two
-/// rest formats; the logical tallies are identical by construction.
-fn run_storage(label: &str, columnar: bool, model: &CostModel) -> BenchRecord {
+/// Registers a fact-shaped resident intermediate, then runs a hash join of
+/// the intermediate against a base dimension table. Registration and join
+/// both sit inside the timed region, so the wall time covers the full
+/// write-then-consume cycle of an intermediate.
+fn run_storage(label: &str, model: &CostModel) -> BenchRecord {
     let mut catalog = Catalog::new(8);
-    catalog
-        .configure_spill(SpillConfig::disabled().with_columnar(columnar))
-        .expect("configure rest format");
     let dim_schema = Schema::for_dataset(
         "dim",
         &[("d_id", DataType::Int64), ("d_val", DataType::Int64)],
@@ -519,11 +461,6 @@ fn run_storage(label: &str, columnar: bool, model: &CostModel) -> BenchRecord {
         .register_intermediate("temp", relation, Some("t_dim"), &[], false)
         .expect("register intermediate");
     assert!(!stored.spilled, "no budget was configured");
-    assert_eq!(
-        catalog.table("temp").expect("temp table").is_columnar(),
-        columnar,
-        "the intermediate must rest in the requested layout"
-    );
     let plan = PhysicalPlan::join(
         PhysicalPlan::scan("temp"),
         PhysicalPlan::scan("dim"),

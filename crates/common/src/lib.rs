@@ -5,7 +5,6 @@
 //! a [`Schema`] and rows of [`Value`]s — which is sufficient for the join-centric
 //! workloads evaluated in the paper (TPC-H Q8/Q9, TPC-DS Q17/Q50).
 
-pub mod batch;
 pub mod env;
 pub mod error;
 pub mod log;
@@ -13,10 +12,6 @@ pub mod schema;
 pub mod tuple;
 pub mod value;
 
-pub use batch::{
-    batch_size, columnar_default, Batch, Column, NullBitmap, BATCH_SIZE_ENV, COLUMNAR_ENV,
-    DEFAULT_BATCH_SIZE,
-};
 pub use error::{RdoError, Result};
 pub use schema::{unqualified, Field, FieldRef, Schema};
 pub use tuple::{Relation, Tuple};

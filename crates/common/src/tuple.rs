@@ -213,4 +213,43 @@ mod tests {
         assert_eq!(rel.len(), 1);
         assert_eq!(rel.into_rows(), vec![row(5, "z")]);
     }
+
+    #[test]
+    fn empty_tuples_are_identities_of_concat() {
+        let empty = Tuple::new(vec![]);
+        assert!(empty.is_empty());
+        assert_eq!(empty.approx_bytes(), 0);
+        assert_eq!(row(1, "x").concat(&empty), row(1, "x"));
+        assert_eq!(empty.concat(&row(1, "x")), row(1, "x"));
+        assert!(row(1, "x").project(&[]).is_empty());
+    }
+
+    #[test]
+    fn approx_bytes_charge_eight_per_scalar() {
+        let t = Tuple::from(vec![
+            Value::Null,
+            Value::Bool(true),
+            Value::Float64(f64::NAN),
+            Value::Date(1),
+            Value::from(""),
+        ]);
+        assert_eq!(t.approx_bytes(), 4 * 8 + 16);
+        let doubled = t.concat(&t);
+        assert_eq!(doubled.approx_bytes(), 2 * t.approx_bytes());
+        assert_eq!(doubled.project(&[4, 4]).approx_bytes(), 32);
+    }
+
+    #[test]
+    fn sorted_uses_the_value_order_on_every_column() {
+        let rel = Relation::new(
+            schema(),
+            vec![row(2, "a"), row(1, "b"), row(1, "a"), row(-1, "z")],
+        )
+        .unwrap();
+        let sorted: Vec<Tuple> = rel.sorted().into_rows();
+        assert_eq!(
+            sorted,
+            vec![row(-1, "z"), row(1, "a"), row(1, "b"), row(2, "a")]
+        );
+    }
 }

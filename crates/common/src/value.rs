@@ -335,4 +335,68 @@ mod tests {
         assert_eq!(Value::Null.to_string(), "NULL");
         assert_eq!(Value::Date(4).to_string(), "d4");
     }
+
+    #[test]
+    fn floats_follow_the_ieee_total_order() {
+        let nan = Value::Float64(f64::NAN);
+        assert_eq!(
+            nan,
+            nan.clone(),
+            "NaN equals itself, so it can be a join key"
+        );
+        assert_eq!(hash_of(&nan), hash_of(&Value::Float64(f64::NAN)));
+        assert!(Value::Float64(f64::INFINITY) < nan);
+        assert!(Value::Int64(i64::MAX) < nan);
+        assert!(Value::Float64(-0.0) < Value::Float64(0.0));
+        assert_ne!(Value::Float64(-0.0), Value::Float64(0.0));
+        assert_ne!(
+            hash_of(&Value::Float64(-0.0)),
+            hash_of(&Value::Float64(0.0)),
+            "unequal zeros hash apart, consistent with equality"
+        );
+    }
+
+    #[test]
+    fn int_and_date_with_equal_payloads_are_one_key() {
+        assert_eq!(Value::Int64(7), Value::Date(7));
+        assert!(Value::Int64(6) < Value::Date(7));
+        assert!(Value::Date(6) < Value::Int64(7));
+        let mut keys = std::collections::HashSet::new();
+        keys.insert(Value::Int64(7));
+        assert!(keys.contains(&Value::Date(7)));
+        assert_eq!(Value::Int64(7).data_type(), DataType::Int64);
+        assert_eq!(Value::Date(7).data_type(), DataType::Date);
+    }
+
+    #[test]
+    fn values_of_unrelated_types_order_by_type() {
+        let ordered = [
+            Value::Null,
+            Value::Bool(true),
+            Value::Int64(i64::MAX),
+            Value::from(""),
+        ];
+        for pair in ordered.windows(2) {
+            assert!(pair[0] < pair[1], "{:?} < {:?}", pair[0], pair[1]);
+        }
+        assert!(Value::Date(i64::MAX) < Value::from(""));
+        assert!(Value::Null < Value::Date(i64::MIN));
+        assert!(Value::Bool(true) < Value::Float64(f64::NEG_INFINITY));
+        assert_eq!(Value::from("x").as_i64(), None);
+        assert_eq!(Value::Bool(true).as_f64(), None);
+    }
+
+    #[test]
+    fn conversions_pick_the_natural_variant() {
+        assert!(matches!(Value::from(3i64), Value::Int64(3)));
+        assert!(matches!(Value::from(0.5), Value::Float64(v) if v == 0.5));
+        assert!(matches!(Value::from(true), Value::Bool(true)));
+        assert_eq!(Value::from(String::from("s")), Value::from("s"));
+        assert_eq!(Value::Float64(2.5).to_string(), "2.5");
+        assert_eq!(Value::Bool(false).to_string(), "false");
+        assert_eq!(Value::from("κ").to_string(), "κ");
+        assert_eq!(Value::Null.numeric_rank(), f64::NEG_INFINITY);
+        assert_eq!(Value::Date(-3).numeric_rank(), -3.0);
+        assert_eq!(Value::Bool(true).numeric_rank(), 1.0);
+    }
 }

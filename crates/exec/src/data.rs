@@ -139,15 +139,7 @@ impl PartitionedData {
 
 /// Partition id of a value for a cluster with `n` partitions.
 pub fn partition_for(value: &Value, n: usize) -> usize {
-    partition_for_hash(hash_value(value), n)
-}
-
-/// Partition id from a pre-computed stable digest. The columnar repartition
-/// kernel hashes borrowed column slots (`rdo_sketch::hll::hash_int64` and
-/// friends) and routes through this, so row and batch placement agree by
-/// construction.
-pub fn partition_for_hash(hash: u64, n: usize) -> usize {
-    (hash % n.max(1) as u64) as usize
+    (hash_value(value) % n.max(1) as u64) as usize
 }
 
 #[cfg(test)]
@@ -214,5 +206,60 @@ mod tests {
         assert_eq!(d.row_count(), 0);
         assert_eq!(d.num_partitions(), 3);
         assert!(d.partition_key().is_none());
+    }
+
+    /// Exchanges route rows with `partition_for` while base tables were laid
+    /// out with the storage layer's `partition_of`; co-partitioned joins are
+    /// only correct if the two agree.
+    #[test]
+    fn partition_for_agrees_with_the_storage_layout() {
+        let values = [
+            Value::Null,
+            Value::Int64(-5),
+            Value::Date(-5),
+            Value::Float64(f64::NAN),
+            Value::Float64(-0.0),
+            Value::from("Brand#13"),
+            Value::Bool(true),
+        ];
+        for n in [1usize, 2, 3, 8] {
+            for v in &values {
+                let p = partition_for(v, n);
+                assert!(p < n);
+                assert_eq!(p, rdo_storage::table::partition_of(v, n), "{v:?} over {n}");
+            }
+        }
+        assert_eq!(
+            partition_for(&Value::Int64(9), 0),
+            0,
+            "zero partitions act as one"
+        );
+    }
+
+    #[test]
+    fn equal_payload_ints_and_dates_route_together() {
+        for k in -20..20 {
+            for n in [2usize, 5, 16] {
+                assert_eq!(
+                    partition_for(&Value::Int64(k), n),
+                    partition_for(&Value::Date(k), n)
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn gather_and_all_rows_keep_partition_order() {
+        let d = data(20, 3);
+        let expected: Vec<Tuple> = d.partitions().iter().flatten().cloned().collect();
+        assert_eq!(d.all_rows(), expected);
+        assert_eq!(d.gather().into_rows(), expected);
+        let (r, _, _) = d.repartition(1, "g");
+        let mut before = d.all_rows();
+        let mut after = r.all_rows();
+        before.sort();
+        after.sort();
+        assert_eq!(before, after, "repartitioning only moves rows");
+        assert_eq!(r.partition_key(), Some("g"));
     }
 }

@@ -5,7 +5,7 @@ use crate::cost::ExecutionMetrics;
 use crate::data::PartitionedData;
 use crate::expr::Predicate;
 use crate::grace::{joined_partition, GraceContext, GraceTally};
-use crate::partition::{indexed_join_partition, scan_batch, IndexJoinTally, ScanTally};
+use crate::partition::{indexed_join_partition, scan_partition, IndexJoinTally, ScanTally};
 use crate::plan::{JoinAlgorithm, PhysicalPlan};
 use crate::setup::{prepare_indexed_join, prepare_scan, resolve_keys};
 use rdo_common::{FieldRef, RdoError, Relation, Result, Tuple};
@@ -69,26 +69,27 @@ impl<'a> Executor<'a> {
         let table = self.catalog.table(table_name)?;
         let setup = prepare_scan(table, dataset, projection)?;
 
-        // Stream each partition batch by batch through the columnar scan
-        // kernel: columnar-backed tables hand over their stored batches with
-        // no row conversion, memory-backed ones are chunked at the batch
-        // size, spilled ones decode each page (columnar pages straight into
-        // their column form). Kernel chunk-invariance makes results and
-        // tallies identical whichever backing delivers the batches.
+        // Stream each partition page by page through the scan kernel:
+        // memory-backed tables hand over the whole partition as one page,
+        // spilled ones decode each page through the buffer pool.
         let mut partitions: Vec<Vec<Tuple>> = Vec::with_capacity(table.num_partitions());
         let mut tally = ScanTally::default();
         let mut spill_read = SpillReadTally::default();
         for p in 0..table.num_partitions() {
             let mut out_rows: Vec<Tuple> = Vec::new();
-            let page_tally = table.scan_batches(p, |batch| {
-                let (out, partial) = scan_batch(
+            let page_tally = table.scan_pages(p, |rows| {
+                let (out, partial) = scan_partition(
                     &setup.schema,
                     predicates,
                     setup.projection_indexes.as_deref(),
-                    batch,
+                    rows,
                 )?;
                 tally.add(&partial);
-                out.extend_rows_into(&mut out_rows);
+                if out_rows.is_empty() {
+                    out_rows = out;
+                } else {
+                    out_rows.extend(out);
+                }
                 Ok(true)
             })?;
             spill_read.add(&page_tally);
@@ -625,6 +626,52 @@ mod tests {
         // Every grace partition file was dropped with its join.
         let dir = cat.spill_dir().expect("join budget configured");
         assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 0);
+    }
+
+    /// A join whose input is a spilled intermediate (streamed page by page
+    /// into the scan kernel) produces the partitions and logical counters of
+    /// the same join over the resident intermediate.
+    #[test]
+    fn joins_over_spilled_intermediates_match_resident_ones() {
+        use rdo_storage::SpillConfig;
+        let mut cat = catalog();
+        let orders = cat.table("orders").unwrap().gather();
+        cat.register_intermediate("resident", orders.clone(), Some("o_orderkey"), &[], false)
+            .unwrap();
+        cat.configure_spill(SpillConfig::default().with_budget(1).with_page_size(512))
+            .unwrap();
+        cat.register_intermediate("spilled", orders, Some("o_orderkey"), &[], false)
+            .unwrap();
+        assert!(cat.table("spilled").unwrap().is_spilled());
+        let plan = |table: &str| {
+            PhysicalPlan::join(
+                PhysicalPlan::scan_aliased("orders", table).with_predicates(vec![
+                    Predicate::compare(FieldRef::new("orders", "o_custkey"), CmpOp::Ne, 3i64),
+                ]),
+                PhysicalPlan::scan("customer"),
+                FieldRef::new("orders", "o_custkey"),
+                FieldRef::new("customer", "c_custkey"),
+                JoinAlgorithm::Hash,
+            )
+        };
+        let exec = Executor::new(&cat);
+        let (mut resident_metrics, mut spilled_metrics) =
+            (ExecutionMetrics::new(), ExecutionMetrics::new());
+        let resident = exec
+            .execute(&plan("resident"), &mut resident_metrics)
+            .unwrap();
+        let spilled = exec
+            .execute(&plan("spilled"), &mut spilled_metrics)
+            .unwrap();
+        assert_eq!(spilled.partitions(), resident.partitions());
+        assert_eq!(resident.row_count(), 190);
+        assert!(spilled_metrics.spill_pages_read > 1);
+        assert_eq!(resident_metrics.spill_pages_read, 0);
+        // Clearing the spill-read counters leaves identical metrics.
+        spilled_metrics.spill_pages_read = 0;
+        spilled_metrics.spill_bytes_read = 0;
+        spilled_metrics.spill_logical_bytes_read = 0;
+        assert_eq!(spilled_metrics, resident_metrics);
     }
 
     #[test]

@@ -15,9 +15,8 @@
 //! the result, so [`Predicate::evaluate`] is the ground truth while
 //! [`Predicate::estimate_selectivity`] is what the static baselines see.
 
-use rdo_common::{Batch, Column, FieldRef, NullBitmap, RdoError, Result, Schema, Tuple, Value};
+use rdo_common::{FieldRef, RdoError, Result, Schema, Tuple, Value};
 use rdo_sketch::DatasetStats;
-use std::cmp::Ordering;
 use std::fmt;
 use std::sync::Arc;
 
@@ -224,237 +223,35 @@ impl Predicate {
 
     /// Evaluates the predicate against one tuple.
     pub fn evaluate(&self, schema: &Schema, tuple: &Tuple) -> Result<bool> {
-        let idx = schema.resolve(self.field())?;
-        let value = tuple.value(idx);
-        if value.is_null() {
-            return Ok(false);
-        }
-        Ok(self.matches_value(value))
+        Ok(self.matches(tuple.value(self.column(schema)?)))
     }
 
-    /// The predicate's decision for a single *non-null* value (the shared
-    /// core of the row path and the batch fallback path; NULL handling —
-    /// always false — happens at the call sites).
-    fn matches_value(&self, value: &Value) -> bool {
+    /// Index of the predicate's column in `schema`. Kernels that evaluate a
+    /// predicate over many rows of one schema resolve it once.
+    pub fn column(&self, schema: &Schema) -> Result<usize> {
+        schema.resolve(self.field())
+    }
+
+    /// The predicate's decision for one column value; NULL never matches.
+    ///
+    /// ```
+    /// use rdo_common::{FieldRef, Value};
+    /// use rdo_exec::Predicate;
+    ///
+    /// let p = Predicate::between(FieldRef::new("t", "k"), 2i64, 4i64);
+    /// assert!(p.matches(&Value::Int64(2)) && p.matches(&Value::Date(4)));
+    /// assert!(!p.matches(&Value::Int64(5)));
+    /// assert!(!p.matches(&Value::Null));
+    /// ```
+    pub fn matches(&self, value: &Value) -> bool {
+        if value.is_null() {
+            return false;
+        }
         match &self.expr {
             PredicateExpr::Compare { op, value: rhs, .. } => op.apply(value, rhs),
             PredicateExpr::Between { lo, hi, .. } => value >= lo && value <= hi,
             PredicateExpr::InList { values, .. } => values.contains(value),
             PredicateExpr::Udf { func, .. } => func(value),
-        }
-    }
-
-    /// Evaluates the predicate against a whole [`Batch`] column-at-a-time,
-    /// AND-ing the decision into `mask` (one slot per row; rows already
-    /// false are left false, NULL slots become false).
-    ///
-    /// Typed columns with a compatible constant operand run a monomorphic
-    /// fast loop over the raw payload slice (no `Value` materialization, no
-    /// per-row schema resolution); everything else — [`Column::Mixed`]
-    /// columns, UDFs, and cross-type comparisons whose semantics depend on
-    /// [`Value`]'s variant order (e.g. a `Date` column against a `Float64`
-    /// constant) — falls back to materializing each value and applying the
-    /// row-path decision, so both paths agree bit-for-bit by construction.
-    pub fn evaluate_batch(&self, schema: &Schema, batch: &Batch, mask: &mut [bool]) -> Result<()> {
-        debug_assert_eq!(mask.len(), batch.num_rows());
-        let idx = schema.resolve(self.field())?;
-        let col = batch.column(idx);
-        if self.eval_batch_fast(col, mask) {
-            return Ok(());
-        }
-        for (i, m) in mask.iter_mut().enumerate() {
-            if *m {
-                let value = col.value(i);
-                *m = !value.is_null() && self.matches_value(&value);
-            }
-        }
-        Ok(())
-    }
-
-    /// Attempts the columnar fast path; returns false when this
-    /// predicate/column pairing needs the row fallback.
-    fn eval_batch_fast(&self, col: &Column, mask: &mut [bool]) -> bool {
-        match col {
-            Column::Int64 { values, validity } => self.eval_int_fast(values, validity, false, mask),
-            Column::Date { values, validity } => self.eval_int_fast(values, validity, true, mask),
-            Column::Float64 { values, validity } => self.eval_float_fast(values, validity, mask),
-            Column::Utf8 {
-                offsets,
-                bytes,
-                validity,
-            } => self.eval_utf8_fast(offsets, bytes, validity, mask),
-            Column::Bool { values, validity } => self.eval_bool_fast(values, validity, mask),
-            Column::Mixed { .. } => false,
-        }
-    }
-
-    /// Fast path over an `Int64` (or, with `is_date`, a `Date`) payload
-    /// slice. A `Date` column refuses `Float64` operands — their relative
-    /// order is the cross-type variant order, not numeric — and falls back.
-    fn eval_int_fast(
-        &self,
-        values: &[i64],
-        validity: &NullBitmap,
-        is_date: bool,
-        mask: &mut [bool],
-    ) -> bool {
-        let rhs_of = |v: &Value| match v {
-            Value::Int64(b) | Value::Date(b) => Some(NumRhs::Int(*b)),
-            Value::Float64(b) if !is_date => Some(NumRhs::Float(*b)),
-            _ => None,
-        };
-        match &self.expr {
-            PredicateExpr::Compare { op, value: rhs, .. } => {
-                let Some(rhs) = rhs_of(rhs) else { return false };
-                for (i, m) in mask.iter_mut().enumerate() {
-                    *m = *m && validity.is_valid(i) && cmp_matches(*op, rhs.ord_i64(values[i]));
-                }
-                true
-            }
-            PredicateExpr::Between { lo, hi, .. } => {
-                let (Some(lo), Some(hi)) = (rhs_of(lo), rhs_of(hi)) else {
-                    return false;
-                };
-                for (i, m) in mask.iter_mut().enumerate() {
-                    *m = *m
-                        && validity.is_valid(i)
-                        && lo.ord_i64(values[i]) != Ordering::Less
-                        && hi.ord_i64(values[i]) != Ordering::Greater;
-                }
-                true
-            }
-            PredicateExpr::InList { values: list, .. } => {
-                // Unlike Compare/Between, entries of a foreign variant can
-                // simply be dropped: they can never be *equal* to an
-                // integer/date slot.
-                let entries: Vec<NumRhs> = list.iter().filter_map(rhs_of).collect();
-                for (i, m) in mask.iter_mut().enumerate() {
-                    *m = *m
-                        && validity.is_valid(i)
-                        && entries
-                            .iter()
-                            .any(|e| e.ord_i64(values[i]) == Ordering::Equal);
-                }
-                true
-            }
-            PredicateExpr::Udf { .. } => false,
-        }
-    }
-
-    /// Fast path over a `Float64` payload slice. `Date` operands fall back
-    /// (cross-type variant order); integers widen and compare through the
-    /// same NaN-aware total order as [`Value`]'s `Ord`.
-    fn eval_float_fast(&self, values: &[f64], validity: &NullBitmap, mask: &mut [bool]) -> bool {
-        let rhs_of = |v: &Value| match v {
-            Value::Int64(b) => Some(*b as f64),
-            Value::Float64(b) => Some(*b),
-            _ => None,
-        };
-        match &self.expr {
-            PredicateExpr::Compare { op, value: rhs, .. } => {
-                let Some(rhs) = rhs_of(rhs) else { return false };
-                for (i, m) in mask.iter_mut().enumerate() {
-                    *m = *m && validity.is_valid(i) && cmp_matches(*op, values[i].total_cmp(&rhs));
-                }
-                true
-            }
-            PredicateExpr::Between { lo, hi, .. } => {
-                let (Some(lo), Some(hi)) = (rhs_of(lo), rhs_of(hi)) else {
-                    return false;
-                };
-                for (i, m) in mask.iter_mut().enumerate() {
-                    *m = *m
-                        && validity.is_valid(i)
-                        && values[i].total_cmp(&lo) != Ordering::Less
-                        && values[i].total_cmp(&hi) != Ordering::Greater;
-                }
-                true
-            }
-            PredicateExpr::InList { values: list, .. } => {
-                let entries: Vec<f64> = list.iter().filter_map(rhs_of).collect();
-                for (i, m) in mask.iter_mut().enumerate() {
-                    *m = *m
-                        && validity.is_valid(i)
-                        && entries
-                            .iter()
-                            .any(|e| values[i].total_cmp(e) == Ordering::Equal);
-                }
-                true
-            }
-            PredicateExpr::Udf { .. } => false,
-        }
-    }
-
-    /// Fast path over a `Utf8` column: borrowed `&str` comparisons straight
-    /// out of the contiguous byte buffer.
-    fn eval_utf8_fast(
-        &self,
-        offsets: &[usize],
-        bytes: &[u8],
-        validity: &NullBitmap,
-        mask: &mut [bool],
-    ) -> bool {
-        let str_at =
-            |i: usize| std::str::from_utf8(&bytes[offsets[i]..offsets[i + 1]]).unwrap_or("");
-        match &self.expr {
-            PredicateExpr::Compare { op, value: rhs, .. } => {
-                let Value::Utf8(rhs) = rhs else { return false };
-                for (i, m) in mask.iter_mut().enumerate() {
-                    *m =
-                        *m && validity.is_valid(i) && cmp_matches(*op, str_at(i).cmp(rhs.as_str()));
-                }
-                true
-            }
-            PredicateExpr::Between { lo, hi, .. } => {
-                let (Value::Utf8(lo), Value::Utf8(hi)) = (lo, hi) else {
-                    return false;
-                };
-                for (i, m) in mask.iter_mut().enumerate() {
-                    *m = *m
-                        && validity.is_valid(i)
-                        && str_at(i) >= lo.as_str()
-                        && str_at(i) <= hi.as_str();
-                }
-                true
-            }
-            PredicateExpr::InList { values: list, .. } => {
-                let entries: Vec<&str> = list.iter().filter_map(Value::as_str).collect();
-                for (i, m) in mask.iter_mut().enumerate() {
-                    *m = *m && validity.is_valid(i) && entries.contains(&str_at(i));
-                }
-                true
-            }
-            PredicateExpr::Udf { .. } => false,
-        }
-    }
-
-    /// Fast path over a `Bool` payload slice.
-    fn eval_bool_fast(&self, values: &[bool], validity: &NullBitmap, mask: &mut [bool]) -> bool {
-        match &self.expr {
-            PredicateExpr::Compare { op, value: rhs, .. } => {
-                let Value::Bool(rhs) = rhs else { return false };
-                for (i, m) in mask.iter_mut().enumerate() {
-                    *m = *m && validity.is_valid(i) && cmp_matches(*op, values[i].cmp(rhs));
-                }
-                true
-            }
-            PredicateExpr::Between { lo, hi, .. } => {
-                let (Value::Bool(lo), Value::Bool(hi)) = (lo, hi) else {
-                    return false;
-                };
-                for (i, m) in mask.iter_mut().enumerate() {
-                    *m = *m && validity.is_valid(i) && values[i] >= *lo && values[i] <= *hi;
-                }
-                true
-            }
-            PredicateExpr::InList { values: list, .. } => {
-                let entries: Vec<bool> = list.iter().filter_map(Value::as_bool).collect();
-                for (i, m) in mask.iter_mut().enumerate() {
-                    *m = *m && validity.is_valid(i) && entries.contains(&values[i]);
-                }
-                true
-            }
-            PredicateExpr::Udf { .. } => false,
         }
     }
 
@@ -508,39 +305,6 @@ impl Predicate {
     }
 }
 
-/// A numeric constant operand of a columnar fast loop: either an exact
-/// integer or a float compared through the NaN-aware total order, mirroring
-/// the corresponding [`Value`] `Ord` arms.
-enum NumRhs {
-    /// `Int64`/`Date` operand: exact integer comparison.
-    Int(i64),
-    /// `Float64` operand: the integer slot widens and total-order compares.
-    Float(f64),
-}
-
-impl NumRhs {
-    /// Ordering of an integer column slot relative to this operand.
-    fn ord_i64(&self, v: i64) -> Ordering {
-        match self {
-            NumRhs::Int(b) => v.cmp(b),
-            NumRhs::Float(b) => (v as f64).total_cmp(b),
-        }
-    }
-}
-
-/// Whether `ord` — the ordering of the column value relative to the constant
-/// operand — satisfies `op`.
-fn cmp_matches(op: CmpOp, ord: Ordering) -> bool {
-    match op {
-        CmpOp::Eq => ord == Ordering::Equal,
-        CmpOp::Ne => ord != Ordering::Equal,
-        CmpOp::Lt => ord == Ordering::Less,
-        CmpOp::Le => ord != Ordering::Greater,
-        CmpOp::Gt => ord == Ordering::Greater,
-        CmpOp::Ge => ord != Ordering::Less,
-    }
-}
-
 /// Evaluates a conjunction of predicates.
 pub fn evaluate_all(predicates: &[Predicate], schema: &Schema, tuple: &Tuple) -> Result<bool> {
     for p in predicates {
@@ -549,26 +313,6 @@ pub fn evaluate_all(predicates: &[Predicate], schema: &Schema, tuple: &Tuple) ->
         }
     }
     Ok(true)
-}
-
-/// Evaluates a conjunction of predicates over a whole [`Batch`], returning
-/// the selection mask (one bool per row). The batch analogue of
-/// [`evaluate_all`]: NULLs never match, and a predicate is only evaluated —
-/// and its column reference only resolved — while at least one row is still
-/// live, matching the row path's per-tuple short-circuit.
-pub fn evaluate_all_batch(
-    predicates: &[Predicate],
-    schema: &Schema,
-    batch: &Batch,
-) -> Result<Vec<bool>> {
-    let mut mask = vec![true; batch.num_rows()];
-    for p in predicates {
-        if !mask.iter().any(|&m| m) {
-            break;
-        }
-        p.evaluate_batch(schema, batch, &mut mask)?;
-    }
-    Ok(mask)
 }
 
 /// Static selectivity of a conjunction assuming independence (what traditional
@@ -730,113 +474,152 @@ mod tests {
         assert!(u.describe().contains("myudf"));
     }
 
-    /// The contract of the columnar path: for every predicate shape and
-    /// every column representation (typed fast path, Mixed fallback), the
-    /// batch mask equals the per-row decisions bit-for-bit.
     #[test]
-    fn batch_evaluation_matches_row_evaluation() {
-        use rdo_common::Batch;
-        let s = Schema::for_dataset(
-            "t",
-            &[
-                ("i", DataType::Int64),
-                ("f", DataType::Float64),
-                ("s", DataType::Utf8),
-                ("b", DataType::Bool),
-                ("d", DataType::Date),
-            ],
-        );
-        let rows = vec![
-            Tuple::new(vec![
-                Value::Int64(5),
-                Value::Float64(1.5),
-                Value::from("apple"),
-                Value::Bool(true),
-                Value::Date(100),
-            ]),
-            Tuple::new(vec![
-                Value::Null,
-                Value::Float64(f64::NAN),
-                Value::Null,
-                Value::Bool(false),
-                Value::Null,
-            ]),
-            Tuple::new(vec![
-                Value::Int64(-3),
-                Value::Float64(-0.0),
-                Value::from(""),
-                Value::Null,
-                Value::Date(50),
-            ]),
-            Tuple::new(vec![
-                Value::Int64(7),
-                Value::Null,
-                Value::from("banana"),
-                Value::Bool(true),
-                Value::Date(100),
-            ]),
-        ];
-        let field = |name: &str| FieldRef::new("t", name);
+    fn column_resolves_the_predicate_field_in_the_schema() {
+        let s = schema();
+        let p = Predicate::compare(FieldRef::new("part", "p_brand"), CmpOp::Eq, "A");
+        assert_eq!(p.column(&s).unwrap(), 2);
+        let size = Predicate::between(FieldRef::new("part", "p_size"), 1i64, 2i64);
+        assert_eq!(size.column(&s).unwrap(), 1);
+        // An alias-qualified field falls back to the unambiguous column name.
+        let aliased = Predicate::compare(FieldRef::new("p", "p_size"), CmpOp::Eq, 1i64);
+        assert_eq!(aliased.column(&s).unwrap(), 1);
+        let missing = Predicate::compare(FieldRef::new("part", "p_name"), CmpOp::Eq, 1i64);
+        assert!(missing.column(&s).is_err());
+    }
+
+    #[test]
+    fn matches_agrees_with_evaluate() {
+        let s = schema();
         let predicates = vec![
-            // Typed fast paths of every shape.
-            Predicate::compare(field("i"), CmpOp::Ge, 0i64),
-            Predicate::compare(field("i"), CmpOp::Lt, 6.5f64),
-            Predicate::between(field("i"), -5i64, 6i64),
-            Predicate::in_list(field("i"), vec![Value::Int64(5), Value::from("x")]),
-            Predicate::compare(field("f"), CmpOp::Ne, f64::NAN),
-            Predicate::compare(field("f"), CmpOp::Gt, -1i64),
-            Predicate::between(field("f"), -1.0f64, 2.0f64),
-            Predicate::compare(field("s"), CmpOp::Ge, "a"),
-            Predicate::between(field("s"), "a", "az"),
-            Predicate::in_list(field("s"), vec![Value::from("apple"), Value::Int64(1)]),
-            Predicate::compare(field("b"), CmpOp::Eq, true),
-            Predicate::in_list(field("b"), vec![Value::Bool(true)]),
-            Predicate::compare(field("d"), CmpOp::Le, 100i64),
-            Predicate::between(field("d"), Value::Date(60), Value::Date(100)),
-            Predicate::in_list(field("d"), vec![Value::Date(100), Value::Float64(100.0)]),
-            // Cross-type pairings that must take the row fallback (the
-            // relative order of Date and Float64 is the variant order).
-            Predicate::compare(field("d"), CmpOp::Lt, 1e18f64),
-            Predicate::compare(field("f"), CmpOp::Lt, Value::Date(0)),
-            Predicate::compare(field("i"), CmpOp::Lt, "zzz"),
-            // UDFs always take the fallback.
-            Predicate::udf("starts_a", field("s"), |v| {
-                v.as_str().map(|s| s.starts_with('a')).unwrap_or(false)
+            Predicate::compare(FieldRef::new("part", "p_size"), CmpOp::Ge, 3i64),
+            Predicate::between(FieldRef::new("part", "p_size"), 2i64, 4i64),
+            Predicate::in_list(
+                FieldRef::new("part", "p_brand"),
+                vec![Value::from("b1"), Value::from("b3")],
+            ),
+            Predicate::udf("odd", FieldRef::new("part", "p_partkey"), |v| {
+                v.as_i64().is_some_and(|k| k % 2 == 1)
             }),
         ];
-        let batch = Batch::from_rows(5, &rows);
-        for p in &predicates {
-            let mut mask = vec![true; rows.len()];
-            p.evaluate_batch(&s, &batch, &mut mask).unwrap();
-            for (i, row) in rows.iter().enumerate() {
+        for key in 0..6 {
+            let t = tuple(key, key, &format!("b{key}"));
+            for p in &predicates {
+                let column = p.column(&s).unwrap();
                 assert_eq!(
-                    mask[i],
-                    p.evaluate(&s, row).unwrap(),
-                    "row {i} disagrees for {}",
+                    p.matches(t.value(column)),
+                    p.evaluate(&s, &t).unwrap(),
+                    "{} on key {key}",
                     p.describe()
                 );
             }
         }
-        // Conjunction, including the all-rows-dead short-circuit.
-        let conj = vec![
-            Predicate::compare(field("i"), CmpOp::Gt, 100i64),
-            Predicate::compare(field("missing"), CmpOp::Eq, 1i64),
+    }
+
+    #[test]
+    fn null_never_matches_any_predicate_shape() {
+        let field = FieldRef::new("part", "p_size");
+        let shapes = vec![
+            Predicate::compare(field.clone(), CmpOp::Eq, Value::Null),
+            Predicate::compare(field.clone(), CmpOp::Le, 100i64),
+            Predicate::between(field.clone(), Value::Null, 100i64),
+            Predicate::in_list(field.clone(), vec![Value::Null, Value::Int64(1)]),
+            Predicate::udf("always", field, |_| true),
         ];
-        let mask = evaluate_all_batch(&conj, &s, &batch).unwrap();
+        for p in &shapes {
+            assert!(!p.matches(&Value::Null), "{}", p.describe());
+        }
+    }
+
+    #[test]
+    fn empty_ranges_and_lists_match_nothing() {
+        let field = FieldRef::new("part", "p_size");
+        let inverted = Predicate::between(field.clone(), 10i64, 5i64);
+        let empty = Predicate::in_list(field, Vec::new());
+        for v in [0i64, 5, 7, 10, 11] {
+            assert!(!inverted.matches(&Value::Int64(v)));
+            assert!(!empty.matches(&Value::Int64(v)));
+        }
+    }
+
+    #[test]
+    fn comparisons_follow_the_value_order() {
+        let field = FieldRef::new("part", "p_size");
+        let ops = [
+            (CmpOp::Eq, [false, true, false]),
+            (CmpOp::Ne, [true, false, true]),
+            (CmpOp::Lt, [true, false, false]),
+            (CmpOp::Le, [true, true, false]),
+            (CmpOp::Gt, [false, false, true]),
+            (CmpOp::Ge, [false, true, true]),
+        ];
+        for (op, expected) in ops {
+            let p = Predicate::compare(field.clone(), op, 5i64);
+            for (v, want) in [4i64, 5, 6].into_iter().zip(expected) {
+                assert_eq!(p.matches(&Value::Int64(v)), want, "{v} {op} 5");
+                // A date with the same payload compares as the same number.
+                assert_eq!(p.matches(&Value::Date(v)), want, "d{v} {op} 5");
+            }
+            // Integers and floats compare numerically.
+            assert_eq!(p.matches(&Value::Float64(5.0)), expected[1], "5.0 {op} 5");
+        }
+    }
+
+    #[test]
+    fn float_comparisons_use_a_total_order() {
+        let field = FieldRef::new("t", "f");
+        let eq_nan = Predicate::compare(field.clone(), CmpOp::Eq, f64::NAN);
+        assert!(eq_nan.matches(&Value::Float64(f64::NAN)));
+        assert!(!eq_nan.matches(&Value::Float64(1.0)));
+        let eq_zero = Predicate::compare(field.clone(), CmpOp::Eq, 0.0);
+        assert!(eq_zero.matches(&Value::Float64(0.0)));
         assert!(
-            mask.iter().all(|&m| !m),
-            "no row survives, no resolve error"
+            !eq_zero.matches(&Value::Float64(-0.0)),
+            "-0.0 sorts below 0.0 under the total order"
         );
-        // A heterogeneous column forces the Mixed fallback.
-        let hs = Schema::for_dataset("h", &[("x", DataType::Int64)]);
-        let hrows = vec![
-            Tuple::new(vec![Value::Int64(1)]),
-            Tuple::new(vec![Value::from("one")]),
-        ];
-        let hbatch = Batch::from_rows(1, &hrows);
-        let p = Predicate::compare(FieldRef::new("h", "x"), CmpOp::Eq, 1i64);
-        let mask = evaluate_all_batch(std::slice::from_ref(&p), &hs, &hbatch).unwrap();
-        assert_eq!(mask[0], p.evaluate(&hs, &hrows[0]).unwrap());
-        assert_eq!(mask[1], p.evaluate(&hs, &hrows[1]).unwrap());
+        let below = Predicate::compare(field, CmpOp::Lt, f64::INFINITY);
+        assert!(below.matches(&Value::Float64(f64::MAX)));
+        assert!(!below.matches(&Value::Float64(f64::NAN)));
+    }
+
+    #[test]
+    fn default_selectivities_follow_the_predicate_shape() {
+        let field = FieldRef::new("part", "p_size");
+        assert_eq!(CmpOp::Eq.default_selectivity(), 0.1);
+        assert_eq!(CmpOp::Ne.default_selectivity(), 0.9);
+        for op in [CmpOp::Lt, CmpOp::Le, CmpOp::Gt, CmpOp::Ge] {
+            assert!((op.default_selectivity() - 1.0 / 3.0).abs() < 1e-12);
+        }
+        assert_eq!(
+            Predicate::between(field.clone(), 1i64, 2i64).default_selectivity(),
+            0.25
+        );
+        let list = |n: i64| Predicate::in_list(field.clone(), (0..n).map(Value::Int64).collect());
+        assert!((list(2).default_selectivity() - 0.2).abs() < 1e-12);
+        assert_eq!(list(9).default_selectivity(), 0.5, "capped at one half");
+        assert_eq!(
+            Predicate::udf("u", field, |_| true).default_selectivity(),
+            0.1
+        );
+    }
+
+    #[test]
+    fn operators_display_as_sql() {
+        let shown: Vec<String> = [
+            CmpOp::Eq,
+            CmpOp::Ne,
+            CmpOp::Lt,
+            CmpOp::Le,
+            CmpOp::Gt,
+            CmpOp::Ge,
+        ]
+        .iter()
+        .map(ToString::to_string)
+        .collect();
+        assert_eq!(shown, ["=", "!=", "<", "<=", ">", ">="]);
+        let p = Predicate::between(FieldRef::new("part", "p_size"), 1i64, 9i64);
+        assert_eq!(p.describe(), "part.p_size BETWEEN 1 AND 9");
+        assert_eq!(p.dataset(), "part");
+        assert!(!p.is_complex());
     }
 }

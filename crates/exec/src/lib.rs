@@ -23,13 +23,9 @@
 //! * **Sink / Reader** — materialize intermediate results into temporary tables
 //!   (collecting online statistics) and read them back in later jobs.
 //!
-//! Internally the operator kernels are *columnar*: rows chunk into typed
-//! [`rdo_common::Batch`]es of `RDO_BATCH_SIZE` rows (see
-//! [`partition::batch_size`]), predicates evaluate column-at-a-time and
-//! partition hashing runs over borrowed column slots. The row-level kernel
-//! signatures are adapters over the batch kernels, and results are
-//! batch-size invariant, so every executor stays bit-identical to the
-//! row-at-a-time reference kernels (`*_rows`).
+//! Every operator runs the per-partition kernels of [`partition`] directly on
+//! [`rdo_common::Tuple`] rows, the engine's one row format in memory, in
+//! spill pages and on the wire.
 
 pub mod cost;
 pub mod data;
@@ -45,12 +41,8 @@ pub mod sink;
 pub use cost::{CostModel, ExecutionMetrics};
 pub use data::PartitionedData;
 pub use executor::Executor;
-pub use expr::{evaluate_all_batch, CmpOp, Predicate, PredicateExpr, UdfFn};
+pub use expr::{CmpOp, Predicate, PredicateExpr, UdfFn};
 pub use grace::{GraceContext, GraceTally};
-pub use partition::{
-    batch_size, column_partition_hash, hash_join_batch, repartition_batch, scan_batch,
-    JoinBuildTable, BATCH_SIZE_ENV, DEFAULT_BATCH_SIZE,
-};
 pub use plan::{JoinAlgorithm, PhysicalPlan};
 pub use post::{AggregateExpr, AggregateFunc, PostProcess, SortKey};
 pub use sink::{materialize, MaterializeOutcome};

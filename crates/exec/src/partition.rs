@@ -1,4 +1,4 @@
-//! Per-partition operator kernels — columnar core, row-compatible edges.
+//! Per-partition operator kernels, row at a time.
 //!
 //! Every physical operator of the engine decomposes into work that runs
 //! independently on one partition: filter/project a partition's rows, bucket a
@@ -10,35 +10,20 @@
 //! bit-identical: parallelism only changes *who* runs a partition, never what
 //! the partition computes.
 //!
-//! Since the columnar redesign the kernels are *batch-at-a-time*: rows chunk
-//! into typed [`Batch`]es of [`batch_size`] rows (`RDO_BATCH_SIZE`, default
-//! 1024), predicates evaluate column-wise
-//! ([`crate::expr::evaluate_all_batch`]), and partition hashing runs over
-//! borrowed column slots ([`column_partition_hash`]) instead of per-tuple
-//! [`Value`] hashing. The public row-level entry points
-//! ([`scan_partition`], [`hash_join_partition`], [`repartition_partition`])
-//! keep their signatures and exact row-level semantics — they are thin
-//! adapters over the batch kernels, and since every kernel's output is an
-//! order-preserving concatenation across chunks, results and every tally
-//! counter are invariant to the batch size. The original row-at-a-time
-//! implementations survive as `*_rows` reference kernels for equivalence
-//! tests and the bench gate's row-vs-columnar comparison.
+//! The kernels work directly on [`Tuple`] rows, the one row format of the
+//! engine: base tables and resident intermediates hold rows, spill pages and
+//! wire frames carry the row codec, so no operator converts its input or its
+//! output.
 //!
 //! Each kernel returns its output plus a tally of the counters it would
 //! contribute to [`crate::ExecutionMetrics`]; tallies are summed in partition
 //! order, which makes the merged metrics independent of worker interleaving.
 
-use crate::data::{partition_for, partition_for_hash};
-use crate::expr::{evaluate_all, evaluate_all_batch, Predicate};
-use rdo_common::{Batch, Column, Result, Schema, Tuple, Value};
-use rdo_sketch::hll::{hash_bool, hash_float64, hash_int64, hash_null, hash_utf8, hash_value};
+use crate::data::partition_for;
+use crate::expr::{evaluate_all, Predicate};
+use rdo_common::{Result, Schema, Tuple, Value};
 use rdo_storage::SecondaryIndex;
 use std::collections::HashMap;
-
-// The batch-size knob moved to `rdo_common` when storage went columnar (the
-// storage layer chunks resident partitions at the same size); re-exported
-// here so kernel call sites keep their import paths.
-pub use rdo_common::{batch_size, BATCH_SIZE_ENV, DEFAULT_BATCH_SIZE};
 
 /// Counters produced by scanning one partition.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -60,89 +45,71 @@ impl ScanTally {
     }
 }
 
-/// Filters and projects one column batch — the columnar scan kernel.
-/// Counts every input row/byte, applies the conjunction column-wise, and
-/// keeps survivors in input order.
-pub fn scan_batch(
-    schema: &Schema,
-    predicates: &[Predicate],
-    projection: Option<&[usize]>,
-    batch: &Batch,
-) -> Result<(Batch, ScanTally)> {
-    let mut tally = ScanTally {
-        scanned_rows: batch.num_rows() as u64,
-        scanned_bytes: batch.approx_bytes() as u64,
-        kept: 0,
-    };
-    let mask = evaluate_all_batch(predicates, schema, batch)?;
-    let filtered = batch.filter(&mask);
-    tally.kept = filtered.num_rows() as u64;
-    let out = match projection {
-        Some(indexes) => filtered.project(indexes),
-        None => filtered,
-    };
-    Ok((out, tally))
-}
-
-/// Filters and projects the rows of one partition. Row-level adapter over
-/// [`scan_batch`] at the process-wide [`batch_size`].
+/// Filters and projects the rows of one partition. Counts every input
+/// row/byte and keeps survivors in input order.
+///
+/// Each predicate resolves its column once, on its first evaluation, rather
+/// than once per row; a predicate that no row reaches is never resolved,
+/// exactly as with per-row [`evaluate_all`].
+///
+/// ```
+/// use rdo_common::{DataType, FieldRef, Schema, Tuple, Value};
+/// use rdo_exec::partition::scan_partition;
+/// use rdo_exec::{CmpOp, Predicate};
+///
+/// let schema = Schema::for_dataset("t", &[("k", DataType::Int64), ("s", DataType::Utf8)]);
+/// let rows: Vec<Tuple> = (0..4)
+///     .map(|i| Tuple::new(vec![Value::Int64(i), Value::from(format!("r{i}"))]))
+///     .collect();
+/// let odd = Predicate::udf("odd", FieldRef::new("t", "k"), |v| {
+///     v.as_i64().is_some_and(|k| k % 2 == 1)
+/// });
+/// let at_most_two = Predicate::compare(FieldRef::new("t", "k"), CmpOp::Le, 2i64);
+/// let (out, tally) = scan_partition(&schema, &[odd, at_most_two], Some(&[1]), &rows).unwrap();
+/// assert_eq!(out, vec![Tuple::new(vec![Value::from("r1")])]);
+/// assert_eq!((tally.scanned_rows, tally.kept), (4, 1));
+/// ```
 pub fn scan_partition(
     schema: &Schema,
     predicates: &[Predicate],
     projection: Option<&[usize]>,
     rows: &[Tuple],
 ) -> Result<(Vec<Tuple>, ScanTally)> {
-    scan_partition_chunked(schema, predicates, projection, rows, batch_size())
-}
-
-/// [`scan_partition`] with an explicit chunk size (tests sweep sizes without
-/// touching the environment). Output and tally are chunk-size invariant.
-pub fn scan_partition_chunked(
-    schema: &Schema,
-    predicates: &[Predicate],
-    projection: Option<&[usize]>,
-    rows: &[Tuple],
-    chunk_size: usize,
-) -> Result<(Vec<Tuple>, ScanTally)> {
     let mut out = Vec::new();
     let mut tally = ScanTally::default();
-    for chunk in rows.chunks(chunk_size.max(1)) {
-        let batch = Batch::from_rows(chunk[0].len(), chunk);
-        let (kept, t) = scan_batch(schema, predicates, projection, &batch)?;
-        tally.add(&t);
-        kept.extend_rows_into(&mut out);
-    }
-    Ok((out, tally))
-}
-
-/// The original row-at-a-time scan kernel, kept as the reference
-/// implementation the batch path is tested against (and the row side of the
-/// bench gate's row-vs-columnar case).
-pub fn scan_partition_rows(
-    schema: &Schema,
-    predicates: &[Predicate],
-    projection: Option<&[usize]>,
-    rows: &[Tuple],
-) -> Result<(Vec<Tuple>, ScanTally)> {
-    let mut out = Vec::new();
-    let mut tally = ScanTally::default();
-    for row in rows {
+    let mut columns: Vec<Option<usize>> = vec![None; predicates.len()];
+    'rows: for row in rows {
         tally.scanned_rows += 1;
         tally.scanned_bytes += row.approx_bytes() as u64;
-        if evaluate_all(predicates, schema, row)? {
-            let projected = match projection {
-                Some(indexes) => row.project(indexes),
-                None => row.clone(),
+        for (predicate, column) in predicates.iter().zip(columns.iter_mut()) {
+            let index = match *column {
+                Some(index) => index,
+                None => *column.insert(predicate.column(schema)?),
             };
-            out.push(projected);
-            tally.kept += 1;
+            if !predicate.matches(row.value(index)) {
+                continue 'rows;
+            }
         }
+        out.push(match projection {
+            Some(indexes) => row.project(indexes),
+            None => row.clone(),
+        });
+        tally.kept += 1;
     }
     Ok((out, tally))
 }
 
 /// Extracts a composite join key, treating any NULL component as "no key"
 /// (SQL equi-join semantics: NULL never matches).
+///
+/// ```
+/// use rdo_common::{Tuple, Value};
+/// use rdo_exec::partition::composite_key;
+///
+/// let row = Tuple::new(vec![Value::Int64(1), Value::Null, Value::from("x")]);
+/// assert_eq!(composite_key(&row, &[2, 0]), Some(vec![Value::from("x"), Value::Int64(1)]));
+/// assert_eq!(composite_key(&row, &[0, 1]), None);
+/// ```
 pub fn composite_key(row: &Tuple, indexes: &[usize]) -> Option<Vec<Value>> {
     let mut key = Vec::with_capacity(indexes.len());
     for &i in indexes {
@@ -151,20 +118,6 @@ pub fn composite_key(row: &Tuple, indexes: &[usize]) -> Option<Vec<Value>> {
             return None;
         }
         key.push(v.clone());
-    }
-    Some(key)
-}
-
-/// Batch analogue of [`composite_key`]: the key of row `row` of a batch, or
-/// `None` if any component is NULL.
-pub fn composite_key_at(batch: &Batch, row: usize, indexes: &[usize]) -> Option<Vec<Value>> {
-    let mut key = Vec::with_capacity(indexes.len());
-    for &c in indexes {
-        let col = batch.column(c);
-        if col.is_null(row) {
-            return None;
-        }
-        key.push(col.value(row));
     }
     Some(key)
 }
@@ -189,124 +142,26 @@ impl JoinTally {
     }
 }
 
-/// A join build table over a columnar build side, constructed once per
-/// partition and probed batch-at-a-time. Keys map to build-row indexes in
-/// insertion order, so probe output preserves the row kernel's
-/// probe-major/build-insertion-order sequence exactly.
-pub struct JoinBuildTable {
-    build: Batch,
-    table: HashMap<Vec<Value>, Vec<u32>>,
-}
-
-impl JoinBuildTable {
-    /// Builds the table over `build`'s key columns (NULL keys never enter).
-    pub fn build(build: Batch, key_indexes: &[usize]) -> Self {
-        let mut table: HashMap<Vec<Value>, Vec<u32>> = HashMap::with_capacity(build.num_rows());
-        for i in 0..build.num_rows() {
-            if let Some(key) = composite_key_at(&build, i, key_indexes) {
-                table.entry(key).or_default().push(i as u32);
-            }
-        }
-        Self { build, table }
-    }
-
-    /// Rows on the build side (counted once per partition, however many
-    /// probe batches follow).
-    pub fn build_rows(&self) -> u64 {
-        self.build.num_rows() as u64
-    }
-
-    /// Probes the table with one batch, emitting `probe ++ build` columns in
-    /// probe order. The returned tally covers this probe batch only —
-    /// `build_rows` stays 0 so callers can sum probe tallies without
-    /// multiply-counting the build side.
-    pub fn probe(&self, probe: &Batch, key_indexes: &[usize]) -> (Batch, JoinTally) {
-        let mut probe_idx: Vec<u32> = Vec::new();
-        let mut build_idx: Vec<u32> = Vec::new();
-        for i in 0..probe.num_rows() {
-            let Some(key) = composite_key_at(probe, i, key_indexes) else {
-                continue;
-            };
-            if let Some(matches) = self.table.get(&key) {
-                for &m in matches {
-                    probe_idx.push(i as u32);
-                    build_idx.push(m);
-                }
-            }
-        }
-        let tally = JoinTally {
-            build_rows: 0,
-            probe_rows: probe.num_rows() as u64,
-            output_rows: probe_idx.len() as u64,
-        };
-        let out = probe.take(&probe_idx).hstack(&self.build.take(&build_idx));
-        (out, tally)
-    }
-}
-
-/// Columnar hash join over two batches: builds a [`JoinBuildTable`] over
-/// `build` and probes it with `probe`, emitting `probe ++ build` columns.
-pub fn hash_join_batch(
-    probe: &Batch,
-    build: &Batch,
-    probe_key_indexes: &[usize],
-    build_key_indexes: &[usize],
-) -> (Batch, JoinTally) {
-    let table = JoinBuildTable::build(build.clone(), build_key_indexes);
-    let (out, mut tally) = table.probe(probe, probe_key_indexes);
-    tally.build_rows = table.build_rows();
-    (out, tally)
-}
-
 /// Builds a hash table over `build_rows` and probes it with `probe_rows`,
-/// emitting `probe ++ build` rows. Used per partition by the hash join (with
+/// emitting `probe ++ build` rows in probe order (matches of one probe row in
+/// build insertion order). Used per partition by the hash join (with
 /// co-partitioned inputs) and by the broadcast join (with the replicated build
-/// side). Row-level adapter over the columnar join: the build table is built
-/// once, the probe side streams through in [`batch_size`] chunks.
+/// side). Every build row counts towards `build_rows`, NULL-keyed ones
+/// included, though they never enter the table.
+///
+/// ```
+/// use rdo_common::{Tuple, Value};
+/// use rdo_exec::partition::hash_join_partition;
+///
+/// let row = |k: Value, tag: &str| Tuple::new(vec![k, Value::from(tag)]);
+/// let probe = vec![row(Value::Int64(1), "p1"), row(Value::Null, "p2")];
+/// let build = vec![row(Value::Date(1), "b1"), row(Value::Int64(1), "b2"), row(Value::Null, "b3")];
+/// let (out, tally) = hash_join_partition(&probe, &build, &[0], &[0]);
+/// // `Int64(1)` and `Date(1)` are one key; NULL keys never match.
+/// assert_eq!(out, vec![probe[0].concat(&build[0]), probe[0].concat(&build[1])]);
+/// assert_eq!((tally.build_rows, tally.probe_rows, tally.output_rows), (3, 2, 2));
+/// ```
 pub fn hash_join_partition(
-    probe_rows: &[Tuple],
-    build_rows: &[Tuple],
-    probe_key_indexes: &[usize],
-    build_key_indexes: &[usize],
-) -> (Vec<Tuple>, JoinTally) {
-    hash_join_partition_chunked(
-        probe_rows,
-        build_rows,
-        probe_key_indexes,
-        build_key_indexes,
-        batch_size(),
-    )
-}
-
-/// [`hash_join_partition`] with an explicit probe chunk size. Output and
-/// tally are chunk-size invariant.
-pub fn hash_join_partition_chunked(
-    probe_rows: &[Tuple],
-    build_rows: &[Tuple],
-    probe_key_indexes: &[usize],
-    build_key_indexes: &[usize],
-    chunk_size: usize,
-) -> (Vec<Tuple>, JoinTally) {
-    let build_width = build_rows.first().map(Tuple::len).unwrap_or(0);
-    let table = JoinBuildTable::build(Batch::from_rows(build_width, build_rows), build_key_indexes);
-    let mut tally = JoinTally {
-        build_rows: table.build_rows(),
-        probe_rows: 0,
-        output_rows: 0,
-    };
-    let mut out = Vec::new();
-    for chunk in probe_rows.chunks(chunk_size.max(1)) {
-        let probe = Batch::from_rows(chunk[0].len(), chunk);
-        let (joined, t) = table.probe(&probe, probe_key_indexes);
-        tally.add(&t);
-        joined.extend_rows_into(&mut out);
-    }
-    (out, tally)
-}
-
-/// The original row-at-a-time hash join kernel, kept as the reference
-/// implementation the batch path is tested against.
-pub fn hash_join_partition_rows(
     probe_rows: &[Tuple],
     build_rows: &[Tuple],
     probe_key_indexes: &[usize],
@@ -360,10 +215,6 @@ impl IndexJoinTally {
 /// emitting `indexed ++ probe` rows. `base_rows` is the indexed table's
 /// partition; residual key pairs beyond the indexed one and the scan's local
 /// predicates are checked after each index fetch.
-///
-/// Stays row-at-a-time deliberately: each probe row fetches a handful of
-/// base rows through the index, so there is no contiguous column run for a
-/// batch to amortize over.
 #[allow(clippy::too_many_arguments)]
 pub fn indexed_join_partition(
     broadcast_rows: &[Tuple],
@@ -407,112 +258,26 @@ pub fn indexed_join_partition(
     Ok((out, tally))
 }
 
-/// Stable digest of one column slot without materializing a [`Value`]:
-/// dispatches the variant once per column, then hashes the borrowed payload
-/// through the same primitives `rdo_sketch::hll::hash_value` uses, so
-/// partition placement is representation-invariant (cross-checked in the
-/// tests below and in `rdo-sketch`).
-pub fn column_partition_hash(col: &Column, i: usize) -> u64 {
-    match col {
-        Column::Int64 { values, validity } | Column::Date { values, validity } => {
-            if validity.is_valid(i) {
-                hash_int64(values[i])
-            } else {
-                hash_null()
-            }
-        }
-        Column::Float64 { values, validity } => {
-            if validity.is_valid(i) {
-                hash_float64(values[i])
-            } else {
-                hash_null()
-            }
-        }
-        Column::Utf8 { .. } => match col.str_at(i) {
-            Some(s) => hash_utf8(s),
-            None => hash_null(),
-        },
-        Column::Bool { values, validity } => {
-            if validity.is_valid(i) {
-                hash_bool(values[i])
-            } else {
-                hash_null()
-            }
-        }
-        Column::Mixed { values } => hash_value(&values[i]),
-    }
-}
-
-/// Buckets one batch's rows by the hash of the key column — the columnar
-/// half of a `HashRepartition` exchange. Returns the buckets (indexed by
-/// destination partition, rows in input order) and the rows/bytes that left
-/// partition `from`.
-pub fn repartition_batch(
-    batch: &Batch,
-    key_index: usize,
-    from: usize,
-    num_partitions: usize,
-) -> (Vec<Batch>, u64, u64) {
-    let col = batch.column(key_index);
-    let mut bucket_idx: Vec<Vec<u32>> = vec![Vec::new(); num_partitions];
-    let mut moved_rows = 0u64;
-    let mut moved_bytes = 0u64;
-    for i in 0..batch.num_rows() {
-        let to = partition_for_hash(column_partition_hash(col, i), num_partitions);
-        if to != from {
-            moved_rows += 1;
-            moved_bytes += batch.row_bytes(i) as u64;
-        }
-        bucket_idx[to].push(i as u32);
-    }
-    let buckets = bucket_idx.iter().map(|idx| batch.take(idx)).collect();
-    (buckets, moved_rows, moved_bytes)
-}
-
 /// Buckets one source partition's rows by the hash of the key column — the
 /// per-partition half of a `HashRepartition` exchange. Returns the buckets
-/// (indexed by destination partition) and the rows/bytes that left partition
-/// `from` (the shuffle volume the cost model charges for). The exchange
-/// concatenates buckets in source-partition order, so the result is
-/// deterministic no matter which worker ran which source partition.
-/// Row-level adapter over [`repartition_batch`] at the process-wide
-/// [`batch_size`].
+/// (indexed by destination partition, rows in input order) and the rows/bytes
+/// that left partition `from` (the shuffle volume the cost model charges
+/// for). The exchange concatenates buckets in source-partition order, so the
+/// result is deterministic no matter which worker ran which source partition.
+///
+/// ```
+/// use rdo_common::{Tuple, Value};
+/// use rdo_exec::data::partition_for;
+/// use rdo_exec::partition::repartition_partition;
+///
+/// let rows: Vec<Tuple> = (0..10).map(|i| Tuple::new(vec![Value::Int64(i)])).collect();
+/// let (buckets, moved_rows, _moved_bytes) = repartition_partition(&rows, 0, 0, 3);
+/// for (to, bucket) in buckets.iter().enumerate() {
+///     assert!(bucket.iter().all(|r| partition_for(r.value(0), 3) == to));
+/// }
+/// assert_eq!(moved_rows as usize, 10 - buckets[0].len());
+/// ```
 pub fn repartition_partition(
-    rows: &[Tuple],
-    key_index: usize,
-    from: usize,
-    num_partitions: usize,
-) -> (Vec<Vec<Tuple>>, u64, u64) {
-    repartition_partition_chunked(rows, key_index, from, num_partitions, batch_size())
-}
-
-/// [`repartition_partition`] with an explicit chunk size. Buckets and
-/// shuffle counters are chunk-size invariant.
-pub fn repartition_partition_chunked(
-    rows: &[Tuple],
-    key_index: usize,
-    from: usize,
-    num_partitions: usize,
-    chunk_size: usize,
-) -> (Vec<Vec<Tuple>>, u64, u64) {
-    let mut buckets: Vec<Vec<Tuple>> = vec![Vec::new(); num_partitions];
-    let mut moved_rows = 0u64;
-    let mut moved_bytes = 0u64;
-    for chunk in rows.chunks(chunk_size.max(1)) {
-        let batch = Batch::from_rows(chunk[0].len(), chunk);
-        let (batch_buckets, mr, mb) = repartition_batch(&batch, key_index, from, num_partitions);
-        moved_rows += mr;
-        moved_bytes += mb;
-        for (bucket, b) in buckets.iter_mut().zip(&batch_buckets) {
-            b.extend_rows_into(bucket);
-        }
-    }
-    (buckets, moved_rows, moved_bytes)
-}
-
-/// The original row-at-a-time repartition kernel, kept as the reference
-/// implementation the batch path is tested against.
-pub fn repartition_partition_rows(
     rows: &[Tuple],
     key_index: usize,
     from: usize,
@@ -535,7 +300,7 @@ pub fn repartition_partition_rows(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rdo_common::{DataType, FieldRef, Schema};
+    use rdo_common::{DataType, FieldRef};
 
     fn rows(n: i64) -> Vec<Tuple> {
         (0..n)
@@ -547,49 +312,11 @@ mod tests {
         Schema::for_dataset("t", &[("k", DataType::Int64), ("g", DataType::Int64)])
     }
 
-    /// Rows exercising every column representation the kernels see: typed
-    /// columns with NULL slots, floats with awkward payloads, strings.
-    fn tricky_rows() -> Vec<Tuple> {
-        (0..37)
-            .map(|i| {
-                Tuple::new(vec![
-                    if i % 7 == 0 {
-                        Value::Null
-                    } else {
-                        Value::Int64(i % 11)
-                    },
-                    match i % 5 {
-                        0 => Value::Float64(f64::NAN),
-                        1 => Value::Float64(-0.0),
-                        2 => Value::Null,
-                        _ => Value::Float64(i as f64 / 3.0),
-                    },
-                    if i % 3 == 0 {
-                        Value::Null
-                    } else {
-                        Value::Utf8(format!("name-{}", i % 6))
-                    },
-                ])
-            })
-            .collect()
-    }
-
-    fn tricky_schema() -> Schema {
-        Schema::for_dataset(
-            "t",
-            &[
-                ("k", DataType::Int64),
-                ("f", DataType::Float64),
-                ("s", DataType::Utf8),
-            ],
-        )
-    }
-
     #[test]
     fn scan_kernel_counts_and_filters() {
         let rows = rows(10);
         let predicates = vec![Predicate::compare(
-            rdo_common::FieldRef::new("t", "g"),
+            FieldRef::new("t", "g"),
             crate::expr::CmpOp::Eq,
             2i64,
         )];
@@ -598,6 +325,27 @@ mod tests {
         assert_eq!(tally.kept, 2);
         assert_eq!(out.len(), 2);
         assert!(tally.scanned_bytes > 0);
+    }
+
+    #[test]
+    fn scan_resolves_a_predicate_only_once_a_row_reaches_it() {
+        let rows = rows(10);
+        let unreachable = vec![
+            Predicate::compare(FieldRef::new("t", "g"), crate::expr::CmpOp::Gt, 100i64),
+            Predicate::compare(FieldRef::new("t", "missing"), crate::expr::CmpOp::Eq, 1i64),
+        ];
+        let (out, tally) = scan_partition(&schema(), &unreachable, None, &rows).unwrap();
+        assert!(out.is_empty());
+        assert_eq!(tally.scanned_rows, 10);
+        let reachable = vec![
+            Predicate::compare(FieldRef::new("t", "g"), crate::expr::CmpOp::Eq, 1i64),
+            Predicate::compare(FieldRef::new("t", "missing"), crate::expr::CmpOp::Eq, 1i64),
+        ];
+        assert!(scan_partition(&schema(), &reachable, None, &rows).is_err());
+        assert!(
+            scan_partition(&schema(), &reachable, None, &[]).is_ok(),
+            "an empty partition resolves nothing"
+        );
     }
 
     #[test]
@@ -654,109 +402,279 @@ mod tests {
     }
 
     #[test]
-    fn batch_size_is_positive() {
-        assert!(batch_size() >= 1);
+    fn join_build_table_counts_build_once() {
+        // Every build row counts once — NULL-keyed ones too, though they never
+        // enter the table — however many probe rows follow.
+        let probe = rows(10);
+        let mut build = rows(5);
+        build.push(Tuple::new(vec![Value::Null, Value::Int64(0)]));
+        let (out, tally) = hash_join_partition(&probe, &build, &[0], &[0]);
+        assert_eq!(tally.build_rows, 6);
+        assert_eq!(tally.probe_rows, 10);
+        assert_eq!(out.len(), 5);
+        let (_, empty_probe) = hash_join_partition(&[], &build, &[0], &[0]);
+        assert_eq!(empty_probe.build_rows, 6);
     }
 
+    /// Rows with every awkward value the kernels must carry unchanged: NULLs,
+    /// NaN, both zeros, `Int64`/`Date` with equal payloads, strings.
+    fn awkward_rows(n: i64) -> Vec<Tuple> {
+        (0..n)
+            .map(|i| {
+                let key = match i % 6 {
+                    0 => Value::Null,
+                    1 => Value::Date(i % 4),
+                    _ => Value::Int64(i % 4),
+                };
+                let float = match i % 5 {
+                    0 => Value::Float64(f64::NAN),
+                    1 => Value::Float64(-0.0),
+                    2 => Value::Float64(0.0),
+                    _ => Value::Float64(i as f64 / 3.0),
+                };
+                Tuple::new(vec![key, float, Value::Utf8(format!("r{i}"))])
+            })
+            .collect()
+    }
+
+    fn awkward_schema() -> Schema {
+        Schema::for_dataset(
+            "t",
+            &[
+                ("k", DataType::Int64),
+                ("f", DataType::Float64),
+                ("s", DataType::Utf8),
+            ],
+        )
+    }
+
+    /// Debug form: distinguishes `Int64` from `Date` and NaN/-0.0 bit patterns
+    /// that `Value`'s `PartialEq` would fold together.
+    fn exact(rows: &[Tuple]) -> String {
+        format!("{rows:?}")
+    }
+
+    const CHUNK_SIZES: [usize; 5] = [1, 2, 3, 7, 64];
+
+    /// A spilled partition reaches the scan kernel one page at a time; running
+    /// it page by page and concatenating must equal one run over the whole
+    /// partition, tally included.
     #[test]
     fn scan_is_chunk_size_invariant_and_matches_row_kernel() {
-        let rows = tricky_rows();
-        let schema = tricky_schema();
+        let rows = awkward_rows(100);
         let predicates = vec![
-            Predicate::compare(FieldRef::new("t", "k"), crate::expr::CmpOp::Le, 7i64),
-            Predicate::compare(FieldRef::new("t", "f"), crate::expr::CmpOp::Ge, 0i64),
+            Predicate::compare(FieldRef::new("t", "k"), crate::expr::CmpOp::Ge, 1i64),
+            Predicate::compare(FieldRef::new("t", "f"), crate::expr::CmpOp::Le, 10.0),
         ];
         let projection = [2usize, 0];
-        let reference =
-            scan_partition_rows(&schema, &predicates, Some(&projection), &rows).unwrap();
-        for chunk_size in [1, 2, 3, 7, 36, 37, 1000] {
-            let chunked =
-                scan_partition_chunked(&schema, &predicates, Some(&projection), &rows, chunk_size)
-                    .unwrap();
-            assert_eq!(chunked, reference, "chunk size {chunk_size}");
+        let (whole, whole_tally) =
+            scan_partition(&awkward_schema(), &predicates, Some(&projection), &rows).unwrap();
+        assert!(!whole.is_empty() && whole.len() < rows.len());
+        for chunk in CHUNK_SIZES {
+            let mut out = Vec::new();
+            let mut tally = ScanTally::default();
+            for page in rows.chunks(chunk) {
+                let (part, t) =
+                    scan_partition(&awkward_schema(), &predicates, Some(&projection), page)
+                        .unwrap();
+                out.extend(part);
+                tally.add(&t);
+            }
+            assert_eq!(exact(&out), exact(&whole), "chunk={chunk}");
+            assert_eq!(tally, whole_tally, "chunk={chunk}");
         }
-        // Empty partitions produce no output, no counters, no resolve errors.
-        let empty = scan_partition(&schema, &predicates, None, &[]).unwrap();
-        assert_eq!(empty, (Vec::new(), ScanTally::default()));
     }
 
+    /// Probing page by page against one build table equals probing the whole
+    /// partition at once (the probe side of a spilled join streams in pages).
     #[test]
     fn hash_join_is_chunk_size_invariant_and_matches_row_kernel() {
-        let probe = tricky_rows();
-        let build: Vec<Tuple> = tricky_rows().into_iter().step_by(2).collect();
-        for keys in [&[0usize][..], &[0, 2][..]] {
-            let reference = hash_join_partition_rows(&probe, &build, keys, keys);
-            for chunk_size in [1, 3, 5, 37, 1000] {
-                let chunked = hash_join_partition_chunked(&probe, &build, keys, keys, chunk_size);
-                assert_eq!(chunked, reference, "keys {keys:?} chunk {chunk_size}");
+        let probe = awkward_rows(90);
+        let build = awkward_rows(25);
+        let (whole, whole_tally) = hash_join_partition(&probe, &build, &[0], &[0]);
+        assert!(!whole.is_empty());
+        for chunk in CHUNK_SIZES {
+            let mut out = Vec::new();
+            let mut tally = JoinTally::default();
+            for page in probe.chunks(chunk) {
+                let (part, mut t) = hash_join_partition(page, &build, &[0], &[0]);
+                out.extend(part);
+                // The build side is built once per partition, not per page.
+                t.build_rows = 0;
+                tally.add(&t);
             }
+            tally.build_rows = whole_tally.build_rows;
+            assert_eq!(exact(&out), exact(&whole), "chunk={chunk}");
+            assert_eq!(tally, whole_tally, "chunk={chunk}");
         }
-        // Empty sides behave like the row kernel, including the tally.
-        assert_eq!(
-            hash_join_partition(&[], &build, &[0], &[0]),
-            hash_join_partition_rows(&[], &build, &[0], &[0])
-        );
-        assert_eq!(
-            hash_join_partition(&probe, &[], &[0], &[0]),
-            hash_join_partition_rows(&probe, &[], &[0], &[0])
-        );
     }
 
+    /// Bucketing page by page and appending each page's buckets equals
+    /// bucketing the whole partition, shuffle volume included.
     #[test]
     fn repartition_is_chunk_size_invariant_and_matches_row_kernel() {
-        let rows = tricky_rows();
-        for key_index in [0usize, 1, 2] {
-            let reference = repartition_partition_rows(&rows, key_index, 1, 4);
-            for chunk_size in [1, 3, 8, 37, 1000] {
-                let chunked = repartition_partition_chunked(&rows, key_index, 1, 4, chunk_size);
-                assert_eq!(chunked, reference, "key {key_index} chunk {chunk_size}");
+        let rows = awkward_rows(120);
+        let (whole, whole_rows, whole_bytes) = repartition_partition(&rows, 0, 1, 3);
+        for chunk in CHUNK_SIZES {
+            let mut buckets: Vec<Vec<Tuple>> = vec![Vec::new(); 3];
+            let (mut moved_rows, mut moved_bytes) = (0, 0);
+            for page in rows.chunks(chunk) {
+                let (part, r, b) = repartition_partition(page, 0, 1, 3);
+                for (bucket, part) in buckets.iter_mut().zip(part) {
+                    bucket.extend(part);
+                }
+                moved_rows += r;
+                moved_bytes += b;
             }
+            for (p, (got, want)) in buckets.iter().zip(&whole).enumerate() {
+                assert_eq!(exact(got), exact(want), "chunk={chunk} bucket={p}");
+            }
+            assert_eq!((moved_rows, moved_bytes), (whole_rows, whole_bytes));
         }
     }
 
     #[test]
-    fn column_hash_matches_value_hash() {
-        // Representation invariance of partition placement: hashing a column
-        // slot equals hashing the materialized Value, for typed columns with
-        // NULL slots and for the Mixed fallback alike.
-        let rows = tricky_rows();
-        let batch = Batch::from_rows(3, &rows);
-        for c in 0..batch.num_columns() {
-            let col = batch.column(c);
-            for i in 0..batch.num_rows() {
-                assert_eq!(
-                    column_partition_hash(col, i),
-                    hash_value(&col.value(i)),
-                    "column {c} row {i}"
-                );
-            }
+    fn projection_keeps_the_requested_columns_in_order() {
+        let rows = awkward_rows(12);
+        let (out, tally) = scan_partition(&awkward_schema(), &[], Some(&[2, 2, 0]), &rows).unwrap();
+        assert_eq!(tally.kept, 12);
+        for (got, row) in out.iter().zip(&rows) {
+            let want = Tuple::new(vec![
+                row.value(2).clone(),
+                row.value(2).clone(),
+                row.value(0).clone(),
+            ]);
+            assert_eq!(exact(std::slice::from_ref(got)), exact(&[want]));
         }
-        let mixed = Batch::from_rows(
-            1,
-            &[
-                Tuple::new(vec![Value::Int64(1)]),
-                Tuple::new(vec![Value::from("one")]),
-                Tuple::new(vec![Value::Bool(true)]),
-                Tuple::new(vec![Value::Date(9)]),
-                Tuple::new(vec![Value::Null]),
-            ],
-        );
-        let col = mixed.column(0);
-        for i in 0..mixed.num_rows() {
-            assert_eq!(column_partition_hash(col, i), hash_value(&col.value(i)));
-        }
+        let (empty_projection, _) =
+            scan_partition(&awkward_schema(), &[], Some(&[]), &rows).unwrap();
+        assert!(empty_projection.iter().all(Tuple::is_empty));
+        assert_eq!(empty_projection.len(), rows.len());
     }
 
     #[test]
-    fn join_build_table_counts_build_once() {
-        let probe = rows(10);
-        let build = rows(5);
-        let reference = hash_join_partition_rows(&probe, &build, &[0], &[0]);
-        let chunked = hash_join_partition_chunked(&probe, &build, &[0], &[0], 2);
+    fn scan_without_predicates_keeps_every_row_and_counts_its_bytes() {
+        let rows = awkward_rows(40);
+        let (out, tally) = scan_partition(&awkward_schema(), &[], None, &rows).unwrap();
+        assert_eq!(exact(&out), exact(&rows));
+        assert_eq!(tally.scanned_rows, 40);
+        assert_eq!(tally.kept, 40);
+        let bytes: usize = rows.iter().map(Tuple::approx_bytes).sum();
+        assert_eq!(tally.scanned_bytes, bytes as u64);
+        let (none, empty) = scan_partition(&awkward_schema(), &[], None, &[]).unwrap();
+        assert!(none.is_empty());
+        assert_eq!(empty, ScanTally::default());
+    }
+
+    #[test]
+    fn composite_key_is_none_when_any_component_is_null() {
+        let row = Tuple::new(vec![Value::Int64(1), Value::Null, Value::Date(3)]);
         assert_eq!(
-            chunked.1.build_rows, reference.1.build_rows,
-            "build side counted once, not once per probe chunk"
+            composite_key(&row, &[0, 2]),
+            Some(vec![Value::Int64(1), Value::Date(3)])
         );
-        assert_eq!(chunked, reference);
+        assert_eq!(composite_key(&row, &[0, 1]), None);
+        assert_eq!(composite_key(&row, &[1]), None);
+        assert_eq!(composite_key(&row, &[]), Some(Vec::new()));
+    }
+
+    #[test]
+    fn multi_column_join_keys_must_all_match() {
+        let probe = vec![
+            Tuple::new(vec![Value::Int64(1), Value::from("a")]),
+            Tuple::new(vec![Value::Int64(1), Value::from("b")]),
+            Tuple::new(vec![Value::Int64(2), Value::from("a")]),
+            Tuple::new(vec![Value::Int64(1), Value::Null]),
+        ];
+        let build = vec![
+            Tuple::new(vec![Value::from("a"), Value::Int64(1)]),
+            Tuple::new(vec![Value::Null, Value::Int64(1)]),
+        ];
+        let (out, tally) = hash_join_partition(&probe, &build, &[0, 1], &[1, 0]);
+        assert_eq!(out, vec![probe[0].concat(&build[0])]);
+        assert_eq!(tally.probe_rows, 4);
+        assert_eq!(tally.build_rows, 2);
+        assert_eq!(tally.output_rows, 1);
+    }
+
+    #[test]
+    fn duplicate_build_keys_emit_in_build_insertion_order() {
+        let build: Vec<Tuple> = (0..4)
+            .map(|i| Tuple::new(vec![Value::Int64(7), Value::Int64(i)]))
+            .collect();
+        let probe = vec![
+            Tuple::new(vec![Value::Int64(7)]),
+            Tuple::new(vec![Value::Int64(8)]),
+            Tuple::new(vec![Value::Int64(7)]),
+        ];
+        let (out, tally) = hash_join_partition(&probe, &build, &[0], &[0]);
+        assert_eq!(tally.output_rows, 8);
+        let seq: Vec<i64> = out.iter().map(|r| r.value(2).as_i64().unwrap()).collect();
+        assert_eq!(seq, vec![0, 1, 2, 3, 0, 1, 2, 3]);
+    }
+
+    #[test]
+    fn repartition_into_one_partition_moves_nothing() {
+        let rows = awkward_rows(30);
+        let (buckets, moved_rows, moved_bytes) = repartition_partition(&rows, 0, 0, 1);
+        assert_eq!(buckets.len(), 1);
+        assert_eq!(exact(&buckets[0]), exact(&rows));
+        assert_eq!((moved_rows, moved_bytes), (0, 0));
+        let (empty, r, b) = repartition_partition(&[], 0, 0, 4);
+        assert_eq!(empty.len(), 4);
+        assert!(empty.iter().all(Vec::is_empty));
+        assert_eq!((r, b), (0, 0));
+    }
+
+    #[test]
+    fn repartition_counts_only_rows_that_leave_their_partition() {
+        let rows = awkward_rows(60);
+        for from in 0..4 {
+            let (buckets, moved_rows, moved_bytes) = repartition_partition(&rows, 1, from, 4);
+            let leaving: Vec<&Tuple> = buckets
+                .iter()
+                .enumerate()
+                .filter(|(to, _)| *to != from)
+                .flat_map(|(_, bucket)| bucket)
+                .collect();
+            assert_eq!(moved_rows, leaving.len() as u64, "from={from}");
+            let bytes: usize = leaving.iter().map(|r| r.approx_bytes()).sum();
+            assert_eq!(moved_bytes, bytes as u64, "from={from}");
+        }
+    }
+
+    #[test]
+    fn join_and_index_tallies_fold_in_any_order() {
+        let a = JoinTally {
+            build_rows: 1,
+            probe_rows: 2,
+            output_rows: 3,
+        };
+        let b = JoinTally {
+            build_rows: 40,
+            probe_rows: 50,
+            output_rows: 60,
+        };
+        let (mut ab, mut ba) = (a, b);
+        ab.add(&b);
+        ba.add(&a);
+        assert_eq!(ab, ba);
+        assert_eq!(ab.output_rows, 63);
+        let c = IndexJoinTally {
+            index_lookups: 5,
+            index_fetched_rows: 6,
+            output_rows: 7,
+        };
+        let mut total = IndexJoinTally::default();
+        total.add(&c);
+        total.add(&c);
+        assert_eq!(
+            total,
+            IndexJoinTally {
+                index_lookups: 10,
+                index_fetched_rows: 12,
+                output_rows: 14,
+            }
+        );
     }
 }

@@ -205,4 +205,74 @@ mod tests {
         let t = table();
         assert!(prepare_scan(&t, "orders", Some(&[FieldRef::new("orders", "nope")])).is_err());
     }
+
+    fn customer_schema() -> Schema {
+        Schema::for_dataset(
+            "customer",
+            &[("c_k", DataType::Int64), ("c_name", DataType::Utf8)],
+        )
+    }
+
+    #[test]
+    fn indexed_join_setup_resolves_keys_on_both_sides() {
+        let t = table();
+        let keys = [
+            (FieldRef::new("o", "o_c"), FieldRef::new("customer", "c_k")),
+            (
+                FieldRef::new("o", "o_k"),
+                FieldRef::new("customer", "c_name"),
+            ),
+        ];
+        let setup = prepare_indexed_join(&t, "o", None, &customer_schema(), &keys).unwrap();
+        assert_eq!(setup.left_key_indexes, vec![1, 0]);
+        assert_eq!(setup.right_key_indexes, vec![0, 1]);
+        assert_eq!(setup.first_right_key_index, 0);
+        assert_eq!(setup.out_schema.len(), 4, "indexed side ++ broadcast side");
+        assert_eq!(setup.left_schema.fields()[0].name.dataset, "o");
+        assert_eq!(setup.partition_key.as_deref(), Some("o_k"));
+
+        let projected = prepare_indexed_join(
+            &t,
+            "o",
+            Some(&[FieldRef::new("o", "o_c")]),
+            &customer_schema(),
+            &keys[..1],
+        )
+        .unwrap();
+        assert_eq!(projected.projection_indexes, Some(vec![1]));
+        assert_eq!(projected.out_schema.len(), 3);
+        assert_eq!(projected.partition_key, None, "o_k projected away");
+        let bad = [(FieldRef::new("o", "o_c"), FieldRef::new("customer", "nope"))];
+        assert!(prepare_indexed_join(&t, "o", None, &customer_schema(), &bad).is_err());
+    }
+
+    #[test]
+    fn join_keys_resolve_against_their_own_input() {
+        let left = PartitionedData::new(table().schema().clone(), vec![Vec::new()], None);
+        let right = PartitionedData::new(customer_schema(), vec![Vec::new()], None);
+        let keys = vec![
+            (
+                FieldRef::new("orders", "o_c"),
+                FieldRef::new("customer", "c_k"),
+            ),
+            (
+                FieldRef::new("orders", "o_k"),
+                FieldRef::new("customer", "c_name"),
+            ),
+        ];
+        assert_eq!(
+            resolve_keys(&left, &right, &keys).unwrap(),
+            (vec![1, 0], vec![0, 1])
+        );
+        // A key resolved against the wrong side is an error, not a guess.
+        let crossed = vec![(
+            FieldRef::new("customer", "c_k"),
+            FieldRef::new("orders", "o_c"),
+        )];
+        assert!(resolve_keys(&left, &right, &crossed).is_err());
+        assert_eq!(
+            resolve_keys(&left, &right, &[]).unwrap(),
+            (Vec::new(), Vec::new())
+        );
+    }
 }

@@ -15,16 +15,6 @@
 //! roundtrip is exact — NULLs, NaN bit patterns and huge strings survive — so
 //! rows that cross a socket compare bit-identical to rows that never left the
 //! process.
-//!
-//! With `RDO_COLUMNAR` on, a sender frames each page in **both** layouts —
-//! the row codec and the [`rdo_spill::colcodec`] column runs, whose
-//! same-type value runs the LZ compressor squeezes much harder on tabular
-//! data — and ships whichever blob is smaller. Page boundaries are identical
-//! either way (decided by the row codec's size accounting), and the layout
-//! travels purely in the frame-type byte: [`Tag::ColPage`]/[`Tag::ColBucket`]
-//! for columnar bodies, the plain tags for row bodies. Every reader accepts
-//! both families, so a columnar coordinator interoperates with a row-format
-//! worker and vice versa.
 
 use rdo_common::{RdoError, Result, Tuple};
 use rdo_spill::codec::{decode_rows, encode_tuple};
@@ -71,15 +61,6 @@ pub enum Tag {
     Bucket = 9,
     /// Coordinator → worker: liveness probe during connect. Empty payload.
     Ping = 10,
-    /// One page of a row batch in the columnar layout. Payload:
-    /// `rows u32, page blob` where the decompressed body is a
-    /// [`rdo_spill::colcodec`] batch. Batch framing (End termination)
-    /// matches [`Tag::Page`].
-    ColPage = 11,
-    /// One page of one repartition output bucket in the columnar layout.
-    /// Payload: `to u32, rows u32, page blob`. Batch framing matches
-    /// [`Tag::Bucket`].
-    ColBucket = 12,
 }
 
 impl Tag {
@@ -95,8 +76,6 @@ impl Tag {
             8 => Tag::Ack,
             9 => Tag::Bucket,
             10 => Tag::Ping,
-            11 => Tag::ColPage,
-            12 => Tag::ColBucket,
             other => return Err(corrupt(&format!("unknown frame tag {other}"))),
         })
     }
@@ -173,71 +152,56 @@ pub mod payload {
 /// are *not* End-terminated — several buckets share one response, and the
 /// closing [`Tag::Tally`] frame is their terminator.
 ///
-/// With `columnar` set, each page is framed in *both* layouts — the
-/// [`rdo_spill::colcodec`] column runs and the row codec — and the smaller
-/// blob goes on the wire under the matching frame-type byte
-/// ([`Tag::ColPage`]/[`Tag::ColBucket`] for columnar bodies, the plain tags
-/// for row bodies), so a columnar sender never ships more bytes than a row
-/// sender. Page boundaries are decided by the row codec's size accounting
-/// either way, and the receiver dispatches per frame, so the knob never has
-/// to match between peers.
-///
 /// `header` prefixes every page payload (empty for plain [`Tag::Page`]
 /// batches; the repartition response uses it to tag bucket pages with their
 /// destination partition). Returns the number of pages written.
+///
+/// ```
+/// use rdo_common::{Tuple, Value};
+/// use rdo_net::frame::{read_page_batch, write_page_batch, Tag};
+/// use rdo_spill::compress::LzScratch;
+///
+/// let rows: Vec<Tuple> = (0..100)
+///     .map(|i| Tuple::new(vec![Value::Int64(i), Value::from("same text on every row")]))
+///     .collect();
+/// let mut wire = Vec::new();
+/// let pages =
+///     write_page_batch(&mut wire, Tag::Page, &[], &rows, true, &mut LzScratch::new()).unwrap();
+/// assert_eq!(pages, 1);
+/// assert_eq!(read_page_batch(&mut &wire[..]).unwrap(), rows);
+/// ```
 pub fn write_page_batch(
     w: &mut impl Write,
     tag: Tag,
     header: &[u8],
     rows: &[Tuple],
     compress: bool,
-    columnar: bool,
     scratch: &mut LzScratch,
 ) -> Result<u64> {
-    let col_tag = match tag {
-        Tag::Page => Tag::ColPage,
-        Tag::Bucket => Tag::ColBucket,
-        other => other,
-    };
     let mut body: Vec<u8> = Vec::new();
     let mut pages = 0u64;
-    let mut flush =
-        |body: &mut Vec<u8>, page_rows: &[Tuple], scratch: &mut LzScratch| -> Result<()> {
-            let row_blob = encode_page_with(scratch, body, compress);
-            let (wire_tag, blob) = if columnar {
-                let width = page_rows.first().map_or(0, Tuple::len);
-                let mut col_body = Vec::new();
-                rdo_spill::colcodec::encode_rows(&mut col_body, width, page_rows);
-                let col_blob = encode_page_with(scratch, &col_body, compress);
-                if col_blob.len() < row_blob.len() {
-                    (col_tag, col_blob)
-                } else {
-                    (tag, row_blob)
-                }
-            } else {
-                (tag, row_blob)
-            };
-            let mut payload = Vec::with_capacity(header.len() + 4 + blob.len());
-            payload.extend_from_slice(header);
-            payload.extend_from_slice(&(page_rows.len() as u32).to_le_bytes());
-            payload.extend_from_slice(&blob);
-            write_frame(w, wire_tag, &payload)?;
-            body.clear();
-            Ok(())
-        };
-    // Page boundaries come from the row codec body size in both layouts, so
-    // page counts and per-page row counts are layout-invariant.
-    let mut page_start = 0usize;
-    for (i, row) in rows.iter().enumerate() {
+    let mut flush = |body: &mut Vec<u8>, page_rows: usize, scratch: &mut LzScratch| -> Result<()> {
+        let blob = encode_page_with(scratch, body, compress);
+        let mut payload = Vec::with_capacity(header.len() + 4 + blob.len());
+        payload.extend_from_slice(header);
+        payload.extend_from_slice(&(page_rows as u32).to_le_bytes());
+        payload.extend_from_slice(&blob);
+        write_frame(w, tag, &payload)?;
+        body.clear();
+        Ok(())
+    };
+    let mut page_rows = 0usize;
+    for row in rows {
         encode_tuple(&mut body, row);
+        page_rows += 1;
         if body.len() >= WIRE_PAGE_SIZE {
-            flush(&mut body, &rows[page_start..=i], scratch)?;
+            flush(&mut body, page_rows, scratch)?;
             pages += 1;
-            page_start = i + 1;
+            page_rows = 0;
         }
     }
-    if page_start < rows.len() {
-        flush(&mut body, &rows[page_start..], scratch)?;
+    if page_rows > 0 {
+        flush(&mut body, page_rows, scratch)?;
         pages += 1;
     }
     if tag == Tag::Page {
@@ -246,33 +210,23 @@ pub fn write_page_batch(
     Ok(pages)
 }
 
-/// Decodes one page payload (`rows u32, page blob` at byte offset `at`) back
-/// into tuples, dispatching the body layout on the frame tag it arrived
-/// under: [`Tag::Page`]/[`Tag::Bucket`] bodies hold the row codec,
-/// [`Tag::ColPage`]/[`Tag::ColBucket`] bodies hold the columnar codec.
-pub fn decode_page_payload(tag: Tag, payload: &[u8], at: usize) -> Result<Vec<Tuple>> {
+/// Decodes one page payload (`rows u32, page blob` at byte offset `at`) of a
+/// [`Tag::Page`] or [`Tag::Bucket`] frame back into tuples.
+pub fn decode_page_payload(payload: &[u8], at: usize) -> Result<Vec<Tuple>> {
     let rows = payload::u32_at(payload, at)? as usize;
     let blob = payload
         .get(at + 4..)
         .ok_or_else(|| corrupt("truncated page blob"))?;
-    let body = decode_page(blob)?;
-    match tag {
-        Tag::Page | Tag::Bucket => decode_rows(&body, rows),
-        Tag::ColPage | Tag::ColBucket => rdo_spill::colcodec::decode_rows(&body, rows),
-        other => Err(corrupt(&format!("{other:?} is not a page frame"))),
-    }
+    decode_rows(&decode_page(blob)?, rows)
 }
 
-/// Reads a page batch until [`Tag::End`], returning the decoded rows. Both
-/// body layouts are accepted ([`Tag::Page`] and [`Tag::ColPage`] frames may
-/// even be mixed within one batch), so a reader never needs to know the
-/// sender's `RDO_COLUMNAR` setting.
+/// Reads a page batch until [`Tag::End`], returning the decoded rows.
 pub fn read_page_batch(r: &mut impl Read) -> Result<Vec<Tuple>> {
     let mut rows = Vec::new();
     loop {
         let (tag, payload) = expect_frame(r)?;
         match tag {
-            Tag::Page | Tag::ColPage => rows.extend(decode_page_payload(tag, &payload, 0)?),
+            Tag::Page => rows.extend(decode_page_payload(&payload, 0)?),
             Tag::End => return Ok(rows),
             other => return Err(corrupt(&format!("expected Page/End, got {other:?}"))),
         }
@@ -317,171 +271,158 @@ mod tests {
 
     #[test]
     fn page_batches_roundtrip_compressed_and_raw() {
-        // Enough rows that the batch spans multiple wire pages, in every
-        // (compression, layout) combination.
+        // Enough rows that the batch spans multiple wire pages.
         let data = rows(20_000);
         for compress in [true, false] {
-            for columnar in [true, false] {
-                let mut buf = Vec::new();
-                let mut scratch = LzScratch::new();
-                let pages = write_page_batch(
-                    &mut buf,
-                    Tag::Page,
-                    &[],
-                    &data,
-                    compress,
-                    columnar,
-                    &mut scratch,
-                )
-                .unwrap();
-                assert!(
-                    pages > 1,
-                    "multi-page batch (compress={compress} columnar={columnar})"
-                );
-                let mut cursor = &buf[..];
-                let back = read_page_batch(&mut cursor).unwrap();
-                assert_eq!(
-                    back, data,
-                    "exact roundtrip (compress={compress} columnar={columnar})"
-                );
-            }
+            let mut buf = Vec::new();
+            let mut scratch = LzScratch::new();
+            let pages =
+                write_page_batch(&mut buf, Tag::Page, &[], &data, compress, &mut scratch).unwrap();
+            assert!(pages > 1, "multi-page batch (compress={compress})");
+            let mut cursor = &buf[..];
+            let back = read_page_batch(&mut cursor).unwrap();
+            assert_eq!(back, data, "exact roundtrip (compress={compress})");
         }
-    }
-
-    /// Rows shaped like the evaluation workloads: an id column, a low-
-    /// cardinality categorical string and a derived float — the shape the
-    /// columnar layout compresses decisively better.
-    fn tabular(n: i64) -> Vec<Tuple> {
-        (0..n)
-            .map(|i| {
-                Tuple::new(vec![
-                    Value::Int64(i),
-                    Value::Utf8(format!("payload-{:06}", i % 50)),
-                    Value::Float64(i as f64 / 7.0),
-                ])
-            })
-            .collect()
-    }
-
-    /// The layout knob moves only the frame-type byte and the body layout:
-    /// page boundaries (page count) are decided by the row codec's size
-    /// accounting either way, a columnar sender never ships a longer stream
-    /// (each page keeps the smaller of the two framings), and a reader
-    /// decodes mixed-layout streams.
-    #[test]
-    fn columnar_batches_keep_row_page_boundaries_and_interoperate() {
-        let data = tabular(20_000);
-        let mut scratch = LzScratch::new();
-        let mut row_buf = Vec::new();
-        let row_pages = write_page_batch(
-            &mut row_buf,
-            Tag::Page,
-            &[],
-            &data,
-            true,
-            false,
-            &mut scratch,
-        )
-        .unwrap();
-        let mut col_buf = Vec::new();
-        let col_pages = write_page_batch(
-            &mut col_buf,
-            Tag::Page,
-            &[],
-            &data,
-            true,
-            true,
-            &mut scratch,
-        )
-        .unwrap();
-        assert_eq!(col_pages, row_pages, "page boundaries are layout-invariant");
-        assert_eq!(row_buf[0], Tag::Page as u8);
-        assert_eq!(
-            col_buf[0],
-            Tag::ColPage as u8,
-            "tabular pages pick the columnar framing"
-        );
-        assert!(
-            col_buf.len() < row_buf.len(),
-            "columnar stream is smaller on tabular data: {} vs {}",
-            col_buf.len(),
-            row_buf.len()
-        );
-        let mut cursor = &col_buf[..];
-        assert_eq!(read_page_batch(&mut cursor).unwrap(), data);
-
-        // Data where the columnar layout has no edge (unique strings, NULL
-        // holes): the per-page pick falls back to row framing, never worse.
-        let awkward = rows(200);
-        let mut awkward_row = Vec::new();
-        write_page_batch(
-            &mut awkward_row,
-            Tag::Page,
-            &[],
-            &awkward,
-            true,
-            false,
-            &mut scratch,
-        )
-        .unwrap();
-        let mut awkward_col = Vec::new();
-        write_page_batch(
-            &mut awkward_col,
-            Tag::Page,
-            &[],
-            &awkward,
-            true,
-            true,
-            &mut scratch,
-        )
-        .unwrap();
-        assert!(
-            awkward_col.len() <= awkward_row.len(),
-            "the columnar knob never costs wire bytes: {} vs {}",
-            awkward_col.len(),
-            awkward_row.len()
-        );
-
-        // A row-format batch concatenated with a columnar batch decodes as
-        // one stream: the reader dispatches per frame, not per connection.
-        let mut mixed = Vec::new();
-        write_page_batch(
-            &mut mixed,
-            Tag::Page,
-            &[],
-            &data[..100],
-            true,
-            false,
-            &mut scratch,
-        )
-        .unwrap();
-        write_page_batch(
-            &mut mixed,
-            Tag::Page,
-            &[],
-            &data[100..200],
-            true,
-            true,
-            &mut scratch,
-        )
-        .unwrap();
-        let mut cursor = &mixed[..];
-        assert_eq!(read_page_batch(&mut cursor).unwrap(), data[..100]);
-        assert_eq!(read_page_batch(&mut cursor).unwrap(), data[100..200]);
     }
 
     #[test]
     fn empty_batches_are_a_bare_end_frame() {
-        for columnar in [false, true] {
-            let mut buf = Vec::new();
-            let mut scratch = LzScratch::new();
-            let pages =
-                write_page_batch(&mut buf, Tag::Page, &[], &[], true, columnar, &mut scratch)
-                    .unwrap();
-            assert_eq!(pages, 0);
-            let mut cursor = &buf[..];
-            assert!(read_page_batch(&mut cursor).unwrap().is_empty());
+        let mut buf = Vec::new();
+        let mut scratch = LzScratch::new();
+        let pages = write_page_batch(&mut buf, Tag::Page, &[], &[], true, &mut scratch).unwrap();
+        assert_eq!(pages, 0);
+        let mut cursor = &buf[..];
+        assert!(read_page_batch(&mut cursor).unwrap().is_empty());
+    }
+
+    /// Tag bytes 11 and 12 once framed column-layout pages. A peer that
+    /// still sends them gets a clean error, never a panic or garbage rows.
+    #[test]
+    fn retired_column_page_tags_are_rejected() {
+        let mut page = Vec::new();
+        let mut scratch = LzScratch::new();
+        write_page_batch(&mut page, Tag::Page, &[], &rows(10), true, &mut scratch).unwrap();
+        for retired in [11u8, 12] {
+            let mut frame = page.clone();
+            frame[0] = retired;
+            let err = read_frame(&mut &frame[..]).expect_err("retired tag");
+            assert!(err
+                .to_string()
+                .contains(&format!("unknown frame tag {retired}")));
+            assert!(read_page_batch(&mut &frame[..]).is_err());
         }
+    }
+
+    const LIVE_TAGS: [Tag; 10] = [
+        Tag::Repartition,
+        Tag::Broadcast,
+        Tag::Gather,
+        Tag::Shutdown,
+        Tag::Page,
+        Tag::End,
+        Tag::Tally,
+        Tag::Ack,
+        Tag::Bucket,
+        Tag::Ping,
+    ];
+
+    #[test]
+    fn every_live_tag_roundtrips_through_a_frame() {
+        let mut buf = Vec::new();
+        for (i, tag) in LIVE_TAGS.iter().enumerate() {
+            write_frame(&mut buf, *tag, &vec![i as u8; i]).unwrap();
+        }
+        let mut cursor = &buf[..];
+        for (i, tag) in LIVE_TAGS.iter().enumerate() {
+            let (back, payload) = expect_frame(&mut cursor).unwrap();
+            assert_eq!(back, *tag);
+            assert_eq!(back as u8, i as u8 + 1, "tag bytes are 1..=10");
+            assert_eq!(payload, vec![i as u8; i]);
+        }
+        assert!(
+            expect_frame(&mut cursor).is_err(),
+            "EOF where a frame is due"
+        );
+        assert!(Tag::from_u8(0).is_err());
+    }
+
+    #[test]
+    fn bucket_batches_carry_their_header_and_no_end_frame() {
+        let data = rows(50);
+        let header = 3u32.to_le_bytes();
+        let mut buf = Vec::new();
+        let mut scratch = LzScratch::new();
+        let pages =
+            write_page_batch(&mut buf, Tag::Bucket, &header, &data, false, &mut scratch).unwrap();
+        assert_eq!(pages, 1);
+        let mut cursor = &buf[..];
+        let (tag, payload) = expect_frame(&mut cursor).unwrap();
+        assert_eq!(tag, Tag::Bucket);
+        assert_eq!(
+            payload::u32_at(&payload, 0).unwrap(),
+            3,
+            "destination header"
+        );
+        assert_eq!(decode_page_payload(&payload, 4).unwrap(), data);
+        assert!(read_frame(&mut cursor).unwrap().is_none(), "no End frame");
+    }
+
+    #[test]
+    fn page_batches_reject_foreign_frames_and_missing_ends() {
+        let mut buf = Vec::new();
+        let mut scratch = LzScratch::new();
+        write_page_batch(&mut buf, Tag::Page, &[], &rows(5), true, &mut scratch).unwrap();
+        // Drop the closing End frame: the batch is cut short.
+        let cut = &buf[..buf.len() - 5];
+        assert!(read_page_batch(&mut &cut[..]).is_err());
+        // A non-page frame inside a batch is a protocol error.
+        let mut foreign = cut.to_vec();
+        write_frame(&mut foreign, Tag::Ack, &1u64.to_le_bytes()).unwrap();
+        let err = read_page_batch(&mut &foreign[..]).unwrap_err();
+        assert!(err.to_string().contains("expected Page/End"), "{err}");
+    }
+
+    #[test]
+    fn truncated_headers_are_errors_not_a_clean_eof() {
+        let mut buf = Vec::new();
+        write_frame(&mut buf, Tag::Ping, &[]).unwrap();
+        assert_eq!(buf.len(), 5);
+        for cut in 1..buf.len() {
+            assert!(read_frame(&mut &buf[..cut]).is_err(), "cut={cut}");
+        }
+        assert!(read_frame(&mut &buf[..0]).unwrap().is_none());
+    }
+
+    #[test]
+    fn payload_readers_bounds_check() {
+        let bytes: Vec<u8> = (1..=12).collect();
+        assert_eq!(payload::u32_at(&bytes, 0).unwrap(), 0x0403_0201);
+        assert_eq!(payload::u32_at(&bytes, 8).unwrap(), 0x0c0b_0a09);
+        assert!(payload::u32_at(&bytes, 9).is_err());
+        assert_eq!(payload::u64_at(&bytes, 4).unwrap(), 0x0c0b_0a09_0807_0605);
+        assert!(payload::u64_at(&bytes, 5).is_err());
+        assert!(payload::u64_at(&[], 0).is_err());
+    }
+
+    #[test]
+    fn corrupt_page_payloads_error_without_panicking() {
+        let mut buf = Vec::new();
+        let mut scratch = LzScratch::new();
+        write_page_batch(&mut buf, Tag::Page, &[], &rows(20), true, &mut scratch).unwrap();
+        let (_, payload) = expect_frame(&mut &buf[..]).unwrap();
+        assert_eq!(decode_page_payload(&payload, 0).unwrap(), rows(20));
+        // A row count that disagrees with the page body.
+        let mut miscounted = payload.clone();
+        miscounted[..4].copy_from_slice(&21u32.to_le_bytes());
+        assert!(decode_page_payload(&miscounted, 0).is_err());
+        // A garbled row count must not reserve memory for billions of rows.
+        miscounted[..4].copy_from_slice(&u32::MAX.to_le_bytes());
+        assert!(decode_page_payload(&miscounted, 0).is_err());
+        assert!(
+            decode_page_payload(&payload[..3], 0).is_err(),
+            "short count"
+        );
+        assert!(decode_page_payload(&payload, payload.len()).is_err());
     }
 
     #[test]

@@ -111,7 +111,6 @@ pub struct TcpTransport {
     addrs: Vec<SocketAddr>,
     conns: Vec<Mutex<WorkerConn>>,
     compress: bool,
-    columnar: bool,
     bytes_sent: Arc<AtomicU64>,
     bytes_received: Arc<AtomicU64>,
 }
@@ -121,7 +120,6 @@ impl std::fmt::Debug for TcpTransport {
         f.debug_struct("TcpTransport")
             .field("workers", &self.addrs)
             .field("compress", &self.compress)
-            .field("columnar", &self.columnar)
             .field("stats", &self.stats())
             .finish()
     }
@@ -131,9 +129,7 @@ impl TcpTransport {
     /// Connects to the given worker processes and verifies each one answers
     /// a liveness ping. Page compression on the wire follows the spill
     /// store's `RDO_SPILL_COMPRESS` default (the codec reads the flag byte,
-    /// so mixed settings between coordinator and workers still interoperate),
-    /// and the page body layout follows `RDO_COLUMNAR` the same way (the
-    /// frame-type byte carries the layout, so readers never need the knob).
+    /// so mixed settings between coordinator and workers still interoperate).
     pub fn connect(addrs: &[SocketAddr]) -> Result<Self> {
         if addrs.is_empty() {
             return Err(RdoError::Execution(
@@ -161,12 +157,10 @@ impl TcpTransport {
             conn.ping()?;
             conns.push(Mutex::new(conn));
         }
-        let spill_env = SpillConfig::from_env();
         Ok(Self {
             addrs: addrs.to_vec(),
             conns,
-            compress: spill_env.compress,
-            columnar: spill_env.columnar,
+            compress: SpillConfig::from_env().compress,
             bytes_sent,
             bytes_received,
         })
@@ -300,7 +294,6 @@ impl Transport for TcpTransport {
                     &[],
                     &data.partitions()[from],
                     self.compress,
-                    self.columnar,
                     &mut conn.scratch,
                 )?;
                 conn.writer.flush()?;
@@ -358,7 +351,6 @@ impl Transport for TcpTransport {
                 &[],
                 &rows,
                 self.compress,
-                self.columnar,
                 &mut conn.scratch,
             )?;
             conn.writer.flush()?;
@@ -403,7 +395,6 @@ impl Transport for TcpTransport {
                     &[],
                     &data.partitions()[p],
                     self.compress,
-                    self.columnar,
                     &mut conn.scratch,
                 )?;
                 conn.writer.flush()?;

@@ -115,8 +115,7 @@ fn serve_connection(stream: TcpStream) -> Result<Served> {
     stream.set_nodelay(true)?;
     let mut reader = BufReader::new(stream.try_clone()?);
     let mut writer = BufWriter::new(stream);
-    let spill_env = SpillConfig::from_env();
-    let (compress, columnar) = (spill_env.compress, spill_env.columnar);
+    let compress = SpillConfig::from_env().compress;
     let mut scratch = LzScratch::new();
     // Tracing in worker processes follows the same env knobs as the
     // coordinator (the cluster spawner passes the environment through). Each
@@ -142,6 +141,11 @@ fn serve_connection(stream: TcpStream) -> Result<Served> {
                 let key_index = payload::u32_at(&header, 0)? as usize;
                 let from = payload::u32_at(&header, 4)? as usize;
                 let num_partitions = payload::u32_at(&header, 8)? as usize;
+                if num_partitions == 0 {
+                    return Err(RdoError::Execution(
+                        "rdo-net worker: repartition into zero partitions".into(),
+                    ));
+                }
                 let trace = if tracing {
                     rdo_trace::TraceHandle::enabled()
                 } else {
@@ -170,7 +174,6 @@ fn serve_connection(stream: TcpStream) -> Result<Served> {
                         &to_header,
                         bucket,
                         compress,
-                        columnar,
                         &mut scratch,
                     )?;
                 }
@@ -197,15 +200,7 @@ fn serve_connection(stream: TcpStream) -> Result<Served> {
                 // partition-agnostic.
                 let _partition = payload::u32_at(&header, 0)?;
                 let rows = read_page_batch(&mut reader)?;
-                write_page_batch(
-                    &mut writer,
-                    Tag::Page,
-                    &[],
-                    &rows,
-                    compress,
-                    columnar,
-                    &mut scratch,
-                )?;
+                write_page_batch(&mut writer, Tag::Page, &[], &rows, compress, &mut scratch)?;
                 writer.flush()?;
             }
             other => {
@@ -230,16 +225,14 @@ pub(crate) fn read_bucketed_response(
     loop {
         let (tag, body) = crate::frame::expect_frame(reader)?;
         match tag {
-            // Either body layout is fine — the worker picks per its own
-            // RDO_COLUMNAR setting and the tag byte says which arrived.
-            Tag::Bucket | Tag::ColBucket => {
+            Tag::Bucket => {
                 let to = payload::u32_at(&body, 0)? as usize;
                 if to >= num_partitions {
                     return Err(RdoError::Execution(format!(
                         "corrupt exchange frame: bucket {to} out of range"
                     )));
                 }
-                buckets[to].extend(decode_page_payload(tag, &body, 4)?);
+                buckets[to].extend(decode_page_payload(&body, 4)?);
             }
             Tag::Tally => {
                 let moved_rows = payload::u64_at(&body, 0)?;
@@ -301,10 +294,7 @@ mod tests {
         header.extend_from_slice(&0u32.to_le_bytes());
         header.extend_from_slice(&4u32.to_le_bytes());
         write_frame(&mut writer, Tag::Repartition, &header).unwrap();
-        // Ship this command's rows in the columnar layout: the worker's
-        // reader dispatches on the tag byte, so the coordinator's knob never
-        // has to match the worker's.
-        write_page_batch(&mut writer, Tag::Page, &[], &data, true, true, &mut scratch).unwrap();
+        write_page_batch(&mut writer, Tag::Page, &[], &data, true, &mut scratch).unwrap();
         writer.flush().unwrap();
         let (buckets, moved_rows, moved_bytes) = read_bucketed_response(&mut reader, 4).unwrap();
         assert_eq!(buckets, expected_buckets);
@@ -312,16 +302,7 @@ mod tests {
 
         // Broadcast: the ack carries the replica's row count.
         write_frame(&mut writer, Tag::Broadcast, &[]).unwrap();
-        write_page_batch(
-            &mut writer,
-            Tag::Page,
-            &[],
-            &data,
-            true,
-            false,
-            &mut scratch,
-        )
-        .unwrap();
+        write_page_batch(&mut writer, Tag::Page, &[], &data, true, &mut scratch).unwrap();
         writer.flush().unwrap();
         let (tag, ack) = crate::frame::expect_frame(&mut reader).unwrap();
         assert_eq!(tag, Tag::Ack);
@@ -329,7 +310,7 @@ mod tests {
 
         // Gather: the partition comes back byte-exact.
         write_frame(&mut writer, Tag::Gather, &2u32.to_le_bytes()).unwrap();
-        write_page_batch(&mut writer, Tag::Page, &[], &data, true, true, &mut scratch).unwrap();
+        write_page_batch(&mut writer, Tag::Page, &[], &data, true, &mut scratch).unwrap();
         writer.flush().unwrap();
         assert_eq!(read_page_batch(&mut reader).unwrap(), data);
 
@@ -338,6 +319,67 @@ mod tests {
         let (tag, _) = crate::frame::expect_frame(&mut reader).unwrap();
         assert_eq!(tag, Tag::Ack);
         handle.join().unwrap().unwrap();
+    }
+
+    /// Connects, runs `f` over the connection, then checks the worker still
+    /// answers a fresh coordinator and shuts it down.
+    fn with_worker(f: impl FnOnce(&mut BufReader<TcpStream>, &mut BufWriter<TcpStream>)) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let handle = std::thread::spawn(move || serve(listener));
+        {
+            let stream = TcpStream::connect(addr).unwrap();
+            let mut reader = BufReader::new(stream.try_clone().unwrap());
+            let mut writer = BufWriter::new(stream);
+            f(&mut reader, &mut writer);
+        }
+        let stream = TcpStream::connect(addr).unwrap();
+        let mut reader = BufReader::new(stream.try_clone().unwrap());
+        let mut writer = BufWriter::new(stream);
+        write_frame(&mut writer, Tag::Ping, &[]).unwrap();
+        write_frame(&mut writer, Tag::Shutdown, &[]).unwrap();
+        writer.flush().unwrap();
+        for _ in 0..2 {
+            let (tag, _) = crate::frame::expect_frame(&mut reader).unwrap();
+            assert_eq!(tag, Tag::Ack);
+        }
+        handle.join().unwrap().unwrap();
+    }
+
+    /// A peer still sending a retired column-page tag (11 or 12) loses its
+    /// connection, not the worker.
+    #[test]
+    fn retired_column_tags_close_only_their_connection() {
+        for retired in [11u8, 12] {
+            with_worker(|reader, writer| {
+                writer.write_all(&[retired, 0, 0, 0, 0]).unwrap();
+                writer.flush().unwrap();
+                assert!(
+                    !matches!(read_frame(reader), Ok(Some(_))),
+                    "no reply to tag {retired}"
+                );
+            });
+        }
+    }
+
+    /// A repartition into zero partitions is refused (the kernel would have
+    /// nowhere to route the rows) without taking the worker down.
+    #[test]
+    fn a_repartition_into_zero_partitions_is_refused() {
+        with_worker(|reader, writer| {
+            let mut header = Vec::new();
+            for field in [0u32, 0, 0] {
+                header.extend_from_slice(&field.to_le_bytes());
+            }
+            write_frame(writer, Tag::Repartition, &header).unwrap();
+            let mut scratch = LzScratch::new();
+            write_page_batch(writer, Tag::Page, &[], &rows(10), true, &mut scratch).unwrap();
+            writer.flush().unwrap();
+            assert!(
+                read_bucketed_response(reader, 1).is_err(),
+                "no tally comes back"
+            );
+        });
     }
 
     /// A dropped connection does not stop the worker: it keeps serving the

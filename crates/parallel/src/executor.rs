@@ -13,7 +13,7 @@ use crate::pool::WorkerPool;
 use crate::transport::{default_transport, Transport};
 use rdo_common::{FieldRef, RdoError, Relation, Result, Tuple};
 use rdo_exec::grace::{joined_partition, GraceContext, GraceTally};
-use rdo_exec::partition::{indexed_join_partition, scan_batch, IndexJoinTally, ScanTally};
+use rdo_exec::partition::{indexed_join_partition, scan_partition, IndexJoinTally, ScanTally};
 use rdo_exec::setup::{prepare_indexed_join, prepare_scan, resolve_keys};
 use rdo_exec::{ExecutionMetrics, JoinAlgorithm, PartitionedData, PhysicalPlan, Predicate};
 use rdo_storage::{Catalog, SpillReadTally};
@@ -148,24 +148,27 @@ impl<'a> ParallelExecutor<'a> {
         let table = self.catalog.table_handle(table_name)?;
         let setup = prepare_scan(&table, dataset, projection)?;
 
-        // Each partition streams batch by batch through the columnar scan
-        // kernel — columnar-backed tables hand over their stored batches with
-        // no row conversion, memory-backed ones are chunked at the batch
-        // size, spilled ones decode each page through the buffer pool.
+        // Each partition streams page by page through the scan kernel —
+        // memory-backed tables hand over the whole partition as one page,
+        // spilled ones decode each page through the buffer pool.
         // Per-partition tallies fold in partition order, so metrics are
         // identical for every worker count and every backing.
         let results = self.map_partitions(table.num_partitions(), |p| {
             let mut out_rows: Vec<Tuple> = Vec::new();
             let mut partial = ScanTally::default();
-            let page_tally = table.scan_batches(p, |batch| {
-                let (out, page_partial) = scan_batch(
+            let page_tally = table.scan_pages(p, |rows| {
+                let (out, page_partial) = scan_partition(
                     &setup.schema,
                     predicates,
                     setup.projection_indexes.as_deref(),
-                    batch,
+                    rows,
                 )?;
                 partial.add(&page_partial);
-                out.extend_rows_into(&mut out_rows);
+                if out_rows.is_empty() {
+                    out_rows = out;
+                } else {
+                    out_rows.extend(out);
+                }
                 Ok(true)
             })?;
             Ok((out_rows, partial, page_tally))
@@ -575,6 +578,106 @@ mod tests {
             0,
             "grace partition files are gone after the joins"
         );
+    }
+
+    /// A catalog whose `big_orders` intermediate is spilled (1-byte budget,
+    /// small pages, so each partition spans many pages) and whose
+    /// `small_orders` holds the same rows resident in memory.
+    fn catalog_with_spilled_intermediate() -> Catalog {
+        let mut cat = catalog();
+        let rows = cat.table("orders").unwrap().gather();
+        cat.register_intermediate("small_orders", rows.clone(), Some("o_orderkey"), &[], false)
+            .unwrap();
+        cat.configure_spill(
+            rdo_storage::SpillConfig::default()
+                .with_budget(1)
+                .with_page_size(512),
+        )
+        .unwrap();
+        let stored = cat
+            .register_intermediate("big_orders", rows, Some("o_orderkey"), &[], false)
+            .unwrap();
+        assert!(stored.spilled && stored.pages_written > 4);
+        cat
+    }
+
+    fn intermediate_plans(table: &str) -> Vec<PhysicalPlan> {
+        let scan = || PhysicalPlan::scan_aliased("orders", table);
+        vec![
+            scan(),
+            scan()
+                .with_predicates(vec![Predicate::compare(
+                    FieldRef::new("orders", "o_custkey"),
+                    CmpOp::Ge,
+                    13i64,
+                )])
+                .with_projection(vec![FieldRef::new("orders", "o_custkey")]),
+            PhysicalPlan::join(
+                scan(),
+                PhysicalPlan::scan("customer"),
+                FieldRef::new("orders", "o_custkey"),
+                FieldRef::new("customer", "c_custkey"),
+                JoinAlgorithm::Hash,
+            ),
+        ]
+    }
+
+    /// Spilled partitions reach the scan kernel page by page; every worker
+    /// count and morsel size still matches the serial executor exactly, page
+    /// reads included.
+    #[test]
+    fn page_by_page_scans_of_spilled_intermediates_match_serial() {
+        let cat = catalog_with_spilled_intermediate();
+        let serial = Executor::new(&cat);
+        for plan in intermediate_plans("big_orders") {
+            let mut serial_metrics = ExecutionMetrics::new();
+            let expected = serial.execute(&plan, &mut serial_metrics).unwrap();
+            assert!(serial_metrics.spill_pages_read > 4);
+            for workers in [1, 2, 4] {
+                for morsel_size in [1, 3] {
+                    let config = ParallelConfig::serial()
+                        .with_workers(workers)
+                        .with_morsel_size(morsel_size);
+                    let mut metrics = ExecutionMetrics::new();
+                    let data = ParallelExecutor::new(&cat, config)
+                        .execute(&plan, &mut metrics)
+                        .unwrap();
+                    assert_eq!(data.partitions(), expected.partitions());
+                    assert_eq!(data.partition_key(), expected.partition_key());
+                    assert_eq!(metrics, serial_metrics, "workers={workers}");
+                }
+            }
+        }
+    }
+
+    /// Where a table lives changes only the spill counters: a spilled
+    /// intermediate yields the same partitions and logical counters as the
+    /// same rows held in memory.
+    #[test]
+    fn spilled_and_resident_intermediates_scan_alike() {
+        let cat = catalog_with_spilled_intermediate();
+        let parallel = ParallelExecutor::new(&cat, ParallelConfig::serial().with_workers(2));
+        for (spilled, resident) in intermediate_plans("big_orders")
+            .iter()
+            .zip(intermediate_plans("small_orders"))
+        {
+            let mut spilled_metrics = ExecutionMetrics::new();
+            let mut resident_metrics = ExecutionMetrics::new();
+            let a = parallel.execute(spilled, &mut spilled_metrics).unwrap();
+            let b = parallel.execute(&resident, &mut resident_metrics).unwrap();
+            assert_eq!(a.partitions(), b.partitions());
+            assert_eq!(resident_metrics.spill_pages_read, 0);
+            assert!(spilled_metrics.spill_pages_read > 0);
+            assert_eq!(
+                spilled_metrics.rows_intermediate_read,
+                resident_metrics.rows_intermediate_read
+            );
+            assert_eq!(
+                spilled_metrics.bytes_intermediate_read,
+                resident_metrics.bytes_intermediate_read
+            );
+            assert_eq!(spilled_metrics.output_rows, resident_metrics.output_rows);
+        }
     }
 
     #[test]

@@ -54,55 +54,6 @@ pub fn hash_value(value: &Value) -> u64 {
     hasher.finalize()
 }
 
-// Columnar hash primitives. The batch kernels hash borrowed column slots
-// without materializing a `Value`; each function below replays the exact
-// byte stream `Value::hash` feeds the stable hasher (type tag, then the
-// payload as `Hash` would write it), so for every value
-// `hash_int64(v) == hash_value(&Value::Int64(v))` and likewise for the other
-// variants. A cross-check test below keeps the two representations locked
-// together — grace/repartition placement must be representation-invariant.
-
-/// Digest of an `Int64` (or `Date` — the two hash identically, like
-/// [`Value`]'s own `Hash`, so date-surrogate joins are type-agnostic).
-pub fn hash_int64(v: i64) -> u64 {
-    let mut hasher = StableHasher::new();
-    hasher.write(&[1]);
-    hasher.write(&v.to_ne_bytes());
-    hasher.finalize()
-}
-
-/// Digest of a `Float64` (hashed through its IEEE-754 bit pattern).
-pub fn hash_float64(v: f64) -> u64 {
-    let mut hasher = StableHasher::new();
-    hasher.write(&[2]);
-    hasher.write(&v.to_bits().to_ne_bytes());
-    hasher.finalize()
-}
-
-/// Digest of a `Utf8` string.
-pub fn hash_utf8(s: &str) -> u64 {
-    let mut hasher = StableHasher::new();
-    hasher.write(&[3]);
-    hasher.write(s.as_bytes());
-    hasher.write(&[0xff]);
-    hasher.finalize()
-}
-
-/// Digest of a `Bool`.
-pub fn hash_bool(b: bool) -> u64 {
-    let mut hasher = StableHasher::new();
-    hasher.write(&[4]);
-    hasher.write(&[b as u8]);
-    hasher.finalize()
-}
-
-/// Digest of SQL NULL.
-pub fn hash_null() -> u64 {
-    let mut hasher = StableHasher::new();
-    hasher.write(&[0]);
-    hasher.finalize()
-}
-
 /// HyperLogLog sketch with `2^precision` registers.
 #[derive(Debug, Clone)]
 pub struct HyperLogLog {
@@ -318,34 +269,47 @@ mod tests {
     }
 
     #[test]
-    fn columnar_primitives_match_value_hash() {
-        // The representation-invariance contract: hashing a borrowed column
-        // slot must equal hashing the materialized Value, for every variant
-        // and every awkward payload (NaN, -0.0, infinities, huge strings).
-        for v in [0i64, 1, -1, i64::MIN, i64::MAX, 42] {
-            assert_eq!(hash_int64(v), hash_value(&Value::Int64(v)));
-            assert_eq!(hash_int64(v), hash_value(&Value::Date(v)));
+    fn hash_value_follows_value_equality_on_awkward_values() {
+        // Equal keys must hash equal (they join and co-partition).
+        assert_eq!(hash_value(&Value::Int64(-3)), hash_value(&Value::Date(-3)));
+        assert_eq!(
+            hash_value(&Value::Float64(f64::NAN)),
+            hash_value(&Value::Float64(f64::NAN))
+        );
+        // Values that compare unequal spread apart.
+        let distinct = [
+            Value::Null,
+            Value::Int64(0),
+            Value::Float64(0.0),
+            Value::Float64(-0.0),
+            Value::Float64(f64::NAN),
+            Value::Bool(false),
+            Value::Utf8(String::new()),
+            Value::Utf8("0".into()),
+        ];
+        for (i, a) in distinct.iter().enumerate() {
+            for b in &distinct[i + 1..] {
+                assert_ne!(hash_value(a), hash_value(b), "{a:?} vs {b:?}");
+            }
         }
-        for f in [
-            0.0f64,
-            -0.0,
-            1.5,
-            f64::NAN,
-            f64::INFINITY,
-            f64::NEG_INFINITY,
-            f64::MIN_POSITIVE,
-        ] {
-            assert_eq!(hash_float64(f), hash_value(&Value::Float64(f)));
+    }
+
+    #[test]
+    fn awkward_values_count_as_distinct_as_they_compare() {
+        let mut hll = HyperLogLog::default();
+        for _ in 0..3 {
+            for v in [
+                Value::Float64(f64::NAN),
+                Value::Float64(-0.0),
+                Value::Float64(0.0),
+                Value::Int64(9),
+                Value::Date(9),
+            ] {
+                hll.insert(&v);
+            }
         }
-        let huge = "x".repeat(100_000);
-        for s in ["", "a", "hello world", huge.as_str()] {
-            assert_eq!(hash_utf8(s), hash_value(&Value::Utf8(s.to_string())));
-        }
-        assert_eq!(hash_bool(true), hash_value(&Value::Bool(true)));
-        assert_eq!(hash_bool(false), hash_value(&Value::Bool(false)));
-        assert_eq!(hash_null(), hash_value(&Value::Null));
-        // -0.0 and 0.0 have different bit patterns, hence different digests.
-        assert_ne!(hash_float64(0.0), hash_float64(-0.0));
+        // NaN, -0.0, 0.0 and the one integer key 9.
+        assert_eq!(hll.estimate_count(), 4);
     }
 
     #[test]

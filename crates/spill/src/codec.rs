@@ -67,25 +67,6 @@ pub fn encode_tuple(buf: &mut Vec<u8>, tuple: &Tuple) {
     }
 }
 
-/// Exact length in bytes [`encode_value`] would append for `value`, computed
-/// without encoding.
-pub fn encoded_value_len(value: &Value) -> usize {
-    match value {
-        Value::Null => 1,
-        Value::Int64(_) | Value::Float64(_) | Value::Date(_) => 9,
-        Value::Utf8(s) => 5 + s.len(),
-        Value::Bool(_) => 2,
-    }
-}
-
-/// Exact length in bytes [`encode_tuple`] would append for `tuple`, computed
-/// without encoding. The columnar page writer uses this to keep its page
-/// boundaries and logical byte counters identical to the row codec's while
-/// storing a different physical layout.
-pub fn encoded_tuple_len(tuple: &Tuple) -> usize {
-    4 + tuple.values().iter().map(encoded_value_len).sum::<usize>()
-}
-
 fn corrupt(what: &str) -> RdoError {
     RdoError::Execution(format!("corrupt spill page: {what}"))
 }
@@ -133,7 +114,9 @@ pub fn decode_value(bytes: &[u8], pos: &mut usize) -> Result<Value> {
 /// Decodes one tuple starting at `*pos`, advancing the cursor.
 pub fn decode_tuple(bytes: &[u8], pos: &mut usize) -> Result<Tuple> {
     let columns = take_u32(bytes, pos)? as usize;
-    let mut values = Vec::with_capacity(columns);
+    // Every value takes at least its tag byte, so a corrupt count can reserve
+    // no more than the bytes left could hold.
+    let mut values = Vec::with_capacity(columns.min(bytes.len() - *pos));
     for _ in 0..columns {
         values.push(decode_value(bytes, pos)?);
     }
@@ -142,9 +125,27 @@ pub fn decode_tuple(bytes: &[u8], pos: &mut usize) -> Result<Tuple> {
 
 /// Decodes exactly `rows` tuples from a page body, requiring the page to be
 /// fully consumed (any trailing garbage means corruption).
+///
+/// ```
+/// use rdo_common::{Tuple, Value};
+/// use rdo_spill::codec::{decode_rows, encode_tuple};
+///
+/// let rows = vec![
+///     Tuple::new(vec![Value::Date(3), Value::Float64(f64::NAN)]),
+///     Tuple::new(vec![Value::Null, Value::from("κ")]),
+/// ];
+/// let mut page = Vec::new();
+/// for row in &rows {
+///     encode_tuple(&mut page, row);
+/// }
+/// let back = decode_rows(&page, 2).unwrap();
+/// assert_eq!(format!("{back:?}"), format!("{rows:?}"));
+/// assert!(decode_rows(&page, 1).is_err(), "leftover bytes are corruption");
+/// ```
 pub fn decode_rows(bytes: &[u8], rows: usize) -> Result<Vec<Tuple>> {
     let mut pos = 0usize;
-    let mut out = Vec::with_capacity(rows);
+    // Every row takes at least its 4-byte column count.
+    let mut out = Vec::with_capacity(rows.min(bytes.len() / 4));
     for _ in 0..rows {
         out.push(decode_tuple(bytes, &mut pos)?);
     }
@@ -162,11 +163,6 @@ mod tests {
     fn roundtrip_tuple(tuple: &Tuple) -> Tuple {
         let mut buf = Vec::new();
         encode_tuple(&mut buf, tuple);
-        assert_eq!(
-            buf.len(),
-            encoded_tuple_len(tuple),
-            "predicted length matches the real encoding"
-        );
         let mut pos = 0;
         let out = decode_tuple(&buf, &mut pos).unwrap();
         assert_eq!(pos, buf.len(), "whole encoding consumed");
@@ -227,6 +223,121 @@ mod tests {
         let mut padded = buf.clone();
         padded.push(0);
         assert!(decode_rows(&padded, 1).is_err(), "trailing bytes");
+    }
+
+    fn encoded(value: &Value) -> Vec<u8> {
+        let mut buf = Vec::new();
+        encode_value(&mut buf, value);
+        buf
+    }
+
+    #[test]
+    fn encoded_widths_follow_the_layout() {
+        assert_eq!(encoded(&Value::Null), vec![TAG_NULL]);
+        assert_eq!(encoded(&Value::Bool(true)), vec![TAG_BOOL, 1]);
+        assert_eq!(encoded(&Value::Bool(false)), vec![TAG_BOOL, 0]);
+        assert_eq!(encoded(&Value::Int64(1)).len(), 9);
+        assert_eq!(encoded(&Value::Float64(1.0)).len(), 9);
+        assert_eq!(encoded(&Value::Date(1)).len(), 9);
+        assert_eq!(
+            encoded(&Value::Utf8("abc".into())),
+            b"\x03\x03\0\0\0abc".to_vec()
+        );
+        let mut buf = Vec::new();
+        encode_tuple(&mut buf, &Tuple::new(vec![Value::Null, Value::Int64(-1)]));
+        assert_eq!(&buf[..4], &2u32.to_le_bytes(), "column count header");
+        assert_eq!(buf.len(), 4 + 1 + 9);
+        assert_eq!(&buf[6..], &(-1i64).to_le_bytes());
+    }
+
+    #[test]
+    fn int_and_date_with_equal_payloads_keep_their_variant() {
+        let int = encoded(&Value::Int64(42));
+        let date = encoded(&Value::Date(42));
+        assert_eq!(int[1..], date[1..], "same payload bytes");
+        assert_ne!(int[0], date[0], "different tags");
+        let mut pos = 0;
+        assert!(matches!(
+            decode_value(&date, &mut pos).unwrap(),
+            Value::Date(42)
+        ));
+        let mut pos = 0;
+        assert!(matches!(
+            decode_value(&int, &mut pos).unwrap(),
+            Value::Int64(42)
+        ));
+    }
+
+    #[test]
+    fn invalid_utf8_is_corruption() {
+        let mut buf = vec![TAG_UTF8];
+        buf.extend_from_slice(&2u32.to_le_bytes());
+        buf.extend_from_slice(&[0xff, 0xfe]);
+        let mut pos = 0;
+        let err = decode_value(&buf, &mut pos).unwrap_err();
+        assert!(err.to_string().contains("invalid UTF-8"), "{err}");
+    }
+
+    #[test]
+    fn huge_length_prefixes_are_truncation_not_allocation() {
+        let mut string = vec![TAG_UTF8];
+        string.extend_from_slice(&u32::MAX.to_le_bytes());
+        string.extend_from_slice(b"short");
+        let mut pos = 0;
+        assert!(decode_value(&string, &mut pos).is_err());
+        // A row claiming u32::MAX columns fails on the first missing value
+        // instead of reserving memory for all of them up front.
+        let mut row = u32::MAX.to_le_bytes().to_vec();
+        row.push(TAG_NULL);
+        let mut pos = 0;
+        assert!(decode_tuple(&row, &mut pos).is_err());
+        assert!(decode_rows(&row, u32::MAX as usize).is_err());
+    }
+
+    #[test]
+    fn zero_rows_require_an_empty_body() {
+        assert!(decode_rows(&[], 0).unwrap().is_empty());
+        assert!(decode_rows(&[TAG_NULL], 0).is_err());
+        let mut empty_row = Vec::new();
+        encode_tuple(&mut empty_row, &Tuple::new(vec![]));
+        assert_eq!(empty_row, 0u32.to_le_bytes());
+        let back = decode_rows(&empty_row.repeat(3), 3).unwrap();
+        assert_eq!(back, vec![Tuple::new(vec![]); 3]);
+    }
+
+    #[test]
+    fn consecutive_values_advance_the_cursor() {
+        let values = [
+            Value::Utf8("αβ".into()),
+            Value::Bool(true),
+            Value::Null,
+            Value::Float64(-0.0),
+            Value::Date(-7),
+        ];
+        let mut buf = Vec::new();
+        let mut ends = Vec::new();
+        for v in &values {
+            encode_value(&mut buf, v);
+            ends.push(buf.len());
+        }
+        let mut pos = 0;
+        for (v, end) in values.iter().zip(ends) {
+            let back = decode_value(&buf, &mut pos).unwrap();
+            assert_eq!(format!("{back:?}"), format!("{v:?}"));
+            assert_eq!(pos, end);
+        }
+        let Value::Float64(zero) = values[3] else {
+            unreachable!()
+        };
+        let mut pos = ends_of_first_three(&values);
+        let Value::Float64(back) = decode_value(&buf, &mut pos).unwrap() else {
+            panic!("wrong variant");
+        };
+        assert_eq!(back.to_bits(), zero.to_bits(), "-0.0 keeps its sign bit");
+    }
+
+    fn ends_of_first_three(values: &[Value]) -> usize {
+        values[..3].iter().map(|v| encoded(v).len()).sum()
     }
 
     fn value_strategy() -> impl Strategy<Value = Value> {

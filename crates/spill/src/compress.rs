@@ -374,6 +374,25 @@ mod tests {
     }
 
     #[test]
+    fn raw_pages_borrow_and_compressed_pages_own() {
+        let body = b"row row row row row row row row row row row row".to_vec();
+        let raw = encode_page(&body, false);
+        assert_eq!(raw[0], TAG_RAW);
+        assert!(matches!(decode_page(&raw).unwrap(), Cow::Borrowed(b) if b == body));
+        let packed = encode_page(&body, true);
+        assert_eq!(packed[0], TAG_COMPRESSED);
+        assert!(matches!(decode_page(&packed).unwrap(), Cow::Owned(b) if b == body));
+        // An empty body is stored raw even when compression is on.
+        assert_eq!(encode_page(&[], true), vec![TAG_RAW]);
+        assert!(decode_page(&[TAG_RAW]).unwrap().is_empty());
+        // Reused scratch state produces the same blobs as a fresh one.
+        let mut scratch = LzScratch::new();
+        for _ in 0..3 {
+            assert_eq!(encode_page_with(&mut scratch, &body, true), packed);
+        }
+    }
+
+    #[test]
     fn corrupt_blobs_error_instead_of_producing_garbage() {
         assert!(decode_page(&[]).is_err(), "empty blob");
         assert!(decode_page(&[9, 1, 2]).is_err(), "unknown tag");

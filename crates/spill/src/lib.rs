@@ -26,11 +26,6 @@
 //!
 //! * [`codec`] — exact binary roundtrip for `Value`/`Tuple` (NULLs, NaN bit
 //!   patterns, strings of any length).
-//! * [`colcodec`] — the columnar page layout (`RDO_COLUMNAR`, on by
-//!   default): the same rows stored as column runs — one type tag, a null
-//!   bitmap and contiguous payloads per column — so the LZ compressor sees
-//!   same-type byte runs. Page boundaries, row counts and logical byte
-//!   counters stay identical to the row codec's; only stored bytes shrink.
 //! * [`compress`] — the dependency-free LZ page codec (`RDO_SPILL_COMPRESS`,
 //!   on by default): pages that shrink are stored compressed, the rest raw,
 //!   with both stored and logical byte volumes reported.
@@ -91,13 +86,11 @@
 
 pub mod buffer;
 pub mod codec;
-pub mod colcodec;
 pub mod compress;
 pub mod manager;
 pub mod store;
 
 pub use buffer::{BufferPool, PoolDiagnostics, SpillFile};
-pub use colcodec::{decode_batch, encode_batch};
 pub use manager::{
     SpillConfig, SpillManager, SpillReadTally, SpillWriteTally, DEFAULT_PAGE_SIZE,
     DEFAULT_PREFETCH_PAGES, JOIN_BUDGET_ENV, SPILL_BUDGET_ENV, SPILL_COMPRESS_ENV,

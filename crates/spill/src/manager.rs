@@ -65,13 +65,6 @@ pub struct SpillConfig {
     /// the buffer pool, overlapping disk reads with page decoding. `0`
     /// disables prefetching (fully synchronous reads).
     pub prefetch_pages: usize,
-    /// Columnar page layout ([`crate::colcodec`]): pages store their rows as
-    /// column runs — type tag, null bitmap, contiguous values — so the LZ
-    /// compressor sees same-type byte runs. On by default (`RDO_COLUMNAR`).
-    /// Purely physical: decoded rows, page boundaries, per-page row counts
-    /// and all *logical* byte counters are identical to the row codec; only
-    /// the stored bytes shrink.
-    pub columnar: bool,
 }
 
 impl Default for SpillConfig {
@@ -83,7 +76,6 @@ impl Default for SpillConfig {
             frames: 0,
             compress: true,
             prefetch_pages: DEFAULT_PREFETCH_PAGES,
-            columnar: rdo_common::columnar_default(),
         }
     }
 }
@@ -145,13 +137,6 @@ impl SpillConfig {
                 env::parse_env_usize,
             )
             .unwrap_or(defaults.prefetch_pages),
-            columnar: get(
-                &lookup,
-                rdo_common::COLUMNAR_ENV,
-                "the columnar page layout stays on",
-                env::parse_env_bool,
-            )
-            .unwrap_or(defaults.columnar),
             ..defaults
         }
     }
@@ -183,13 +168,6 @@ impl SpillConfig {
     /// Builder-style read-ahead override (`0` disables prefetching).
     pub fn with_prefetch_pages(mut self, pages: usize) -> Self {
         self.prefetch_pages = pages;
-        self
-    }
-
-    /// Builder-style columnar page-layout switch (`false` restores the
-    /// row-at-a-time page codec).
-    pub fn with_columnar(mut self, columnar: bool) -> Self {
-        self.columnar = columnar;
         self
     }
 
@@ -467,49 +445,6 @@ mod tests {
         assert_eq!(
             config.prefetch_pages, DEFAULT_PREFETCH_PAGES,
             "invalid lookahead warns and keeps the default"
-        );
-    }
-
-    /// The `RDO_COLUMNAR` switch flows through the same injectable lookup:
-    /// valid values flip the page layout, garbage warns and keeps the
-    /// process-wide default. The default itself *is* the real environment
-    /// knob (`columnar_default()`), so the assertions here compare against
-    /// it instead of a literal — the suite runs under CI legs that export
-    /// `RDO_COLUMNAR` for the whole process.
-    #[test]
-    fn columnar_knob_parses_or_warns() {
-        let config = SpillConfig::default();
-        assert_eq!(
-            config.columnar,
-            rdo_common::columnar_default(),
-            "the config default seeds the process-wide rest format"
-        );
-        if std::env::var(rdo_common::COLUMNAR_ENV).is_err() {
-            assert!(config.columnar, "columnar pages are on by default");
-        }
-        assert!(!config.with_columnar(false).columnar);
-        assert!(SpillConfig::default().with_columnar(true).columnar);
-
-        let off = SpillConfig::from_env_with(|var| match var {
-            rdo_common::COLUMNAR_ENV => Some("off".to_string()),
-            _ => None,
-        });
-        assert!(!off.columnar, "RDO_COLUMNAR=off restores row pages");
-
-        let on = SpillConfig::from_env_with(|var| match var {
-            rdo_common::COLUMNAR_ENV => Some("1".to_string()),
-            _ => None,
-        });
-        assert!(on.columnar, "RDO_COLUMNAR=1 selects columnar pages");
-
-        let garbage = SpillConfig::from_env_with(|var| match var {
-            rdo_common::COLUMNAR_ENV => Some("diagonal".to_string()),
-            _ => None,
-        });
-        assert_eq!(
-            garbage.columnar,
-            rdo_common::columnar_default(),
-            "invalid switch warns and keeps the process default"
         );
     }
 

@@ -21,11 +21,10 @@
 //!   `SpillConfig::prefetch_pages` pages resident in the buffer pool while
 //!   the scanner decompresses and decodes the current one.
 
-use crate::codec::{decode_rows, encode_tuple, encoded_tuple_len};
-use crate::colcodec;
+use crate::codec::{decode_rows, encode_tuple};
 use crate::compress::{decode_page, encode_page_with, LzScratch};
 use crate::manager::{SpillManager, SpillReadTally, SpillWriteTally};
-use rdo_common::{Batch, Result, Tuple};
+use rdo_common::{Result, Tuple};
 use std::path::PathBuf;
 use std::sync::{Arc, Condvar, Mutex};
 
@@ -37,16 +36,9 @@ struct PageMeta {
     /// Bytes the page occupies in the file (compressed size when the page
     /// compressed).
     stored_len: u32,
-    /// Bytes of *row-codec* data the page stands for. In columnar mode the
-    /// physical body is the columnar encoding, but this counter (and every
-    /// tally built from it) still reports the row-codec volume so logical
-    /// metrics are identical whichever layout is on disk.
+    /// Bytes of row-codec data the page decompresses to.
     logical_len: u32,
     rows: u32,
-    /// Physical layout of the page body: columnar ([`crate::colcodec`]) or
-    /// row-wise ([`crate::codec`]). In-memory only — the page directory never
-    /// hits disk — so the flag costs nothing in the file format.
-    columnar: bool,
 }
 
 #[derive(Debug, Default)]
@@ -64,28 +56,14 @@ struct PartitionPages {
 /// arbitrarily large build side with a bounded transient footprint.
 /// [`SpillPartitionWriter::finish`] flushes the tails and returns the
 /// completed store; dropping an unfinished writer deletes the file.
-///
-/// With `SpillConfig::columnar` on, the writer buffers each partition's
-/// pending rows instead of encoded bytes, and at flush time frames the page
-/// in *both* layouts — column runs ([`crate::colcodec`]) and the row codec —
-/// keeping whichever is smaller after optional compression (each page's
-/// metadata records the winner, and the reader dispatches on it). Page
-/// boundaries, per-page row counts, logical byte counters and the
-/// buffered-bytes accounting are all computed from the *row-codec* lengths
-/// ([`encoded_tuple_len`]), so every logical figure is bit-identical to
-/// row-layout runs — only the stored bytes change, and never upward.
 #[derive(Debug)]
 pub struct SpillPartitionWriter {
     manager: Arc<SpillManager>,
     file_id: u64,
     path: PathBuf,
     parts: Vec<PartitionPages>,
-    /// Row mode: the encoded page body per partition.
+    /// The encoded page body per partition.
     bufs: Vec<Vec<u8>>,
-    /// Columnar mode: rows awaiting the columnar flush, and their exact
-    /// row-codec byte length (drives page boundaries and all accounting).
-    pending: Vec<Vec<Tuple>>,
-    pending_len: Vec<usize>,
     rows_in_buf: Vec<u32>,
     offset: u64,
     page_no: u32,
@@ -96,7 +74,6 @@ pub struct SpillPartitionWriter {
     peak_buffered_bytes: u64,
     page_size: usize,
     compress: bool,
-    columnar: bool,
     scratch: LzScratch,
     finished: bool,
 }
@@ -106,7 +83,6 @@ impl SpillPartitionWriter {
     pub fn new(manager: Arc<SpillManager>, partitions: usize) -> Result<Self> {
         let page_size = manager.config().page_size.max(512);
         let compress = manager.config().compress;
-        let columnar = manager.config().columnar;
         let (file_id, path) = manager.create_file()?;
         Ok(Self {
             manager,
@@ -114,8 +90,6 @@ impl SpillPartitionWriter {
             path,
             parts: (0..partitions).map(|_| PartitionPages::default()).collect(),
             bufs: vec![Vec::new(); partitions],
-            pending: vec![Vec::new(); partitions],
-            pending_len: vec![0; partitions],
             rows_in_buf: vec![0; partitions],
             offset: 0,
             page_no: 0,
@@ -126,43 +100,25 @@ impl SpillPartitionWriter {
             peak_buffered_bytes: 0,
             page_size,
             compress,
-            columnar,
             scratch: LzScratch::new(),
             finished: false,
         })
-    }
-
-    /// Row-codec bytes partition `p` has pending — the page-boundary measure
-    /// in both layouts.
-    fn body_len(&self, p: usize) -> usize {
-        if self.columnar {
-            self.pending_len[p]
-        } else {
-            self.bufs[p].len()
-        }
     }
 
     /// Appends one row to partition `p`, flushing a page when the partition's
     /// buffer reaches the page size (a page holds at least one row, so an
     /// oversized row becomes an oversized page rather than an error).
     pub fn append(&mut self, p: usize, row: &Tuple) -> Result<()> {
-        let encoded = if self.columnar {
-            let len = encoded_tuple_len(row);
-            self.pending[p].push(row.clone());
-            self.pending_len[p] += len;
-            len
-        } else {
-            let before = self.bufs[p].len();
-            encode_tuple(&mut self.bufs[p], row);
-            self.bufs[p].len() - before
-        };
+        let before = self.bufs[p].len();
+        encode_tuple(&mut self.bufs[p], row);
+        let encoded = self.bufs[p].len() - before;
         self.buffered_bytes += encoded as u64;
         self.peak_buffered_bytes = self.peak_buffered_bytes.max(self.buffered_bytes);
         self.rows_in_buf[p] += 1;
         self.parts[p].rows += 1;
         self.total_rows += 1;
         self.approx_bytes += row.approx_bytes();
-        if self.body_len(p) >= self.page_size {
+        if self.bufs[p].len() >= self.page_size {
             self.flush_partition(p)?;
         }
         Ok(())
@@ -176,37 +132,14 @@ impl SpillPartitionWriter {
     }
 
     fn flush_partition(&mut self, p: usize) -> Result<()> {
-        // `logical_len` is always the row-codec volume; in columnar mode the
-        // physical body differs from it, and that difference is the point.
-        // Columnar mode frames *both* layouts and keeps whichever packs
-        // tighter — small or string-unique pages can favor the per-row
-        // stride — recording the winner per page, so the columnar store
-        // never costs a single stored byte over the row store.
-        let (blob, logical_len, columnar_page) = if self.columnar {
-            let rows = std::mem::take(&mut self.pending[p]);
-            let logical = std::mem::replace(&mut self.pending_len[p], 0);
-            let width = rows.first().map_or(0, Tuple::len);
-            let mut col_body = Vec::new();
-            colcodec::encode_batch(&mut col_body, &Batch::from_rows(width, &rows));
-            let mut row_body = Vec::with_capacity(logical);
-            for row in &rows {
-                crate::codec::encode_tuple(&mut row_body, row);
-            }
+        // The buffer is cleared, not taken, so each partition reuses one
+        // page-sized allocation for all of its pages.
+        let logical_len = self.bufs[p].len();
+        let blob = {
             let _t = rdo_trace::timer("spill.compress_ns");
-            let col_blob = encode_page_with(&mut self.scratch, &col_body, self.compress);
-            let row_blob = encode_page_with(&mut self.scratch, &row_body, self.compress);
-            if col_blob.len() < row_blob.len() {
-                (col_blob, logical, true)
-            } else {
-                (row_blob, logical, false)
-            }
-        } else {
-            let body = std::mem::take(&mut self.bufs[p]);
-            let logical = body.len();
-            let _t = rdo_trace::timer("spill.compress_ns");
-            let blob = encode_page_with(&mut self.scratch, &body, self.compress);
-            (blob, logical, false)
+            encode_page_with(&mut self.scratch, &self.bufs[p], self.compress)
         };
+        self.bufs[p].clear();
         let rows = std::mem::replace(&mut self.rows_in_buf[p], 0);
         self.buffered_bytes -= logical_len as u64;
         let meta = PageMeta {
@@ -215,7 +148,6 @@ impl SpillPartitionWriter {
             stored_len: blob.len() as u32,
             logical_len: logical_len as u32,
             rows,
-            columnar: columnar_page,
         };
         self.offset += blob.len() as u64;
         self.page_no += 1;
@@ -233,7 +165,7 @@ impl SpillPartitionWriter {
     /// store and the logical write volume.
     pub fn finish(mut self) -> Result<(SpilledPartitions, SpillWriteTally)> {
         for p in 0..self.parts.len() {
-            if self.body_len(p) > 0 {
+            if !self.bufs[p].is_empty() {
                 self.flush_partition(p)?;
             }
         }
@@ -337,58 +269,29 @@ impl SpilledPartitions {
         self.pages
     }
 
-    /// Fetches, decompresses and decodes one page with `decode`, folding it
-    /// into `tally` and handing the decoded item to `f`.
-    fn visit_page_with<T, D, F>(
-        &self,
-        meta: &PageMeta,
-        tally: &mut SpillReadTally,
-        decode: &D,
-        f: &mut F,
-    ) -> Result<bool>
+    /// Fetches, decompresses and decodes one page, folding it into `tally`
+    /// and handing the decoded rows to `f`.
+    fn visit_page<F>(&self, meta: &PageMeta, tally: &mut SpillReadTally, f: &mut F) -> Result<bool>
     where
-        D: Fn(&[u8], &PageMeta) -> Result<T>,
-        F: FnMut(&T) -> Result<bool>,
+        F: FnMut(&[Tuple]) -> Result<bool>,
     {
-        let item = self.manager.pool().with_page(
+        let rows = self.manager.pool().with_page(
             self.file_id,
             meta.page_no,
             meta.offset,
             meta.stored_len as usize,
-            |blob| -> Result<T> {
+            |blob| -> Result<Vec<Tuple>> {
                 let body = {
                     let _t = rdo_trace::timer("spill.decompress_ns");
                     decode_page(blob)?
                 };
-                decode(&body, meta)
+                decode_rows(&body, meta.rows as usize)
             },
         )??;
         tally.pages += 1;
         tally.bytes += meta.stored_len as u64;
         tally.logical_bytes += meta.logical_len as u64;
-        f(&item)
-    }
-
-    /// Decodes one page body back to rows, dispatching on the page's layout
-    /// flag.
-    fn decode_page_rows(body: &[u8], meta: &PageMeta) -> Result<Vec<Tuple>> {
-        if meta.columnar {
-            colcodec::decode_rows(body, meta.rows as usize)
-        } else {
-            decode_rows(body, meta.rows as usize)
-        }
-    }
-
-    /// Decodes one page body straight to a [`Batch`]: columnar pages skip the
-    /// row detour entirely, row pages go through `Batch::from_rows`.
-    fn decode_page_batch(body: &[u8], meta: &PageMeta) -> Result<Batch> {
-        if meta.columnar {
-            colcodec::decode_batch(body, meta.rows as usize)
-        } else {
-            let rows = decode_rows(body, meta.rows as usize)?;
-            let width = rows.first().map_or(0, Tuple::len);
-            Ok(Batch::from_rows(width, &rows))
-        }
+        f(&rows)
     }
 
     /// Streams partition `p` page by page: `f` receives each page's decoded
@@ -404,25 +307,6 @@ impl SpilledPartitions {
     pub fn scan_pages<F>(&self, p: usize, mut f: F) -> Result<SpillReadTally>
     where
         F: FnMut(&[Tuple]) -> Result<bool>,
-    {
-        self.scan_pages_with(p, Self::decode_page_rows, |rows: &Vec<Tuple>| f(rows))
-    }
-
-    /// Streams partition `p` page by page as [`Batch`]es — the batch-native
-    /// twin of [`Self::scan_pages`], with the same early-stop, tally and
-    /// read-ahead behaviour. Columnar pages decode straight into their
-    /// column representation with no per-row materialization.
-    pub fn scan_batches<F>(&self, p: usize, f: F) -> Result<SpillReadTally>
-    where
-        F: FnMut(&Batch) -> Result<bool>,
-    {
-        self.scan_pages_with(p, Self::decode_page_batch, f)
-    }
-
-    fn scan_pages_with<T, D, F>(&self, p: usize, decode: D, mut f: F) -> Result<SpillReadTally>
-    where
-        D: Fn(&[u8], &PageMeta) -> Result<T>,
-        F: FnMut(&T) -> Result<bool>,
     {
         let metas = &self.parts[p].pages;
         let lookahead = self.manager.config().prefetch_pages;
@@ -440,7 +324,7 @@ impl SpilledPartitions {
         {
             let mut tally = SpillReadTally::default();
             for meta in metas {
-                if !self.visit_page_with(meta, &mut tally, &decode, &mut f)? {
+                if !self.visit_page(meta, &mut tally, &mut f)? {
                     break;
                 }
             }
@@ -481,7 +365,7 @@ impl SpilledPartitions {
             let _close_guard = CloseOnDrop(&gate);
             let mut tally = SpillReadTally::default();
             for meta in metas {
-                if !self.visit_page_with(meta, &mut tally, &decode, &mut f)? {
+                if !self.visit_page(meta, &mut tally, &mut f)? {
                     break;
                 }
                 gate.advance();
@@ -761,16 +645,12 @@ mod tests {
 
     #[test]
     fn compression_off_stores_raw_pages_and_roundtrips() {
-        // Row layout pinned: the flag-byte identity below is a row-codec
-        // property (columnar bodies are physically smaller than the logical
-        // row volume even uncompressed).
         let data = vec![rows(300, "raw")];
         let raw_mgr = manager_with(
             SpillConfig::default()
                 .with_budget(1)
                 .with_page_size(512)
-                .with_compression(false)
-                .with_columnar(false),
+                .with_compression(false),
         );
         let (raw_store, raw_tally) = SpilledPartitions::write(Arc::clone(&raw_mgr), &data).unwrap();
         // Raw pages cost one flag byte each on top of the row encoding.
@@ -781,12 +661,7 @@ mod tests {
         );
         assert_eq!(&raw_store.read_partition(0).unwrap(), &data[0]);
 
-        let packed_mgr = manager_with(
-            SpillConfig::default()
-                .with_budget(1)
-                .with_page_size(512)
-                .with_columnar(false),
-        );
+        let packed_mgr = manager(1, 512);
         let (packed_store, packed_tally) =
             SpilledPartitions::write(Arc::clone(&packed_mgr), &data).unwrap();
         assert_eq!(
@@ -802,108 +677,6 @@ mod tests {
             packed_store.read_partition(0).unwrap(),
             raw_store.read_partition(0).unwrap()
         );
-    }
-
-    /// The columnar layout's contract: identical rows, page boundaries,
-    /// per-page row counts, logical bytes and buffered-bytes accounting —
-    /// only the stored bytes shrink.
-    #[test]
-    fn columnar_pages_shrink_stored_bytes_and_keep_logical_figures() {
-        // Realistic tabular pages: repeated categorical strings and typed
-        // number columns at the default 64 KiB page size, where column runs
-        // beat the row layout's per-row stride redundancy. (At tiny page
-        // sizes too few rows share a page and the row layout can win — the
-        // equivalence contract holds regardless, only this size assertion
-        // needs full pages.)
-        let tabular = |n: i64, tag: &str| -> Vec<Tuple> {
-            (0..n)
-                .map(|i| {
-                    Tuple::new(vec![
-                        Value::Int64(i),
-                        Value::Utf8(format!("{tag}-{:06}", i % 1000)),
-                        Value::Float64(i as f64 / 7.0),
-                    ])
-                })
-                .collect()
-        };
-        let data = [tabular(20_000, "payload"), tabular(5_000, "other")];
-        let mut results = Vec::new();
-        for columnar in [false, true] {
-            let mgr = manager_with(
-                SpillConfig::default()
-                    .with_budget(1)
-                    .with_columnar(columnar),
-            );
-            let mut writer = SpillPartitionWriter::new(Arc::clone(&mgr), data.len()).unwrap();
-            for (p, partition) in data.iter().enumerate() {
-                for row in partition {
-                    writer.append(p, row).unwrap();
-                }
-            }
-            let peak = writer.peak_buffered_bytes();
-            let (store, tally) = writer.finish().unwrap();
-            let reads: Vec<_> = (0..data.len())
-                .map(|p| store.read_partition_tallied(p).unwrap())
-                .collect();
-            results.push((tally, peak, reads, store));
-        }
-        let (row_tally, row_peak, row_reads, _row_store) = &results[0];
-        let (col_tally, col_peak, col_reads, col_store) = &results[1];
-        assert_eq!(col_tally.pages, row_tally.pages, "same page boundaries");
-        assert_eq!(
-            col_tally.logical_bytes, row_tally.logical_bytes,
-            "logical volume is layout-invariant"
-        );
-        assert_eq!(
-            col_peak, row_peak,
-            "buffered accounting is layout-invariant"
-        );
-        assert!(
-            col_tally.bytes < row_tally.bytes,
-            "columnar pages store fewer bytes: {col_tally:?} vs {row_tally:?}"
-        );
-        for (p, (got, expected)) in col_reads.iter().zip(row_reads).enumerate() {
-            assert_eq!(got.0, expected.0, "partition {p} rows identical");
-            assert_eq!(got.1.pages, expected.1.pages);
-            assert_eq!(got.1.logical_bytes, expected.1.logical_bytes);
-            assert_eq!(&got.0, &data[p]);
-        }
-        // Batch scans deliver the same rows and the same logical tally.
-        for (p, partition) in data.iter().enumerate() {
-            let mut via_batches = Vec::new();
-            let tally = col_store
-                .scan_batches(p, |batch| {
-                    via_batches.extend(batch.to_rows());
-                    Ok(true)
-                })
-                .unwrap();
-            assert_eq!(&via_batches, partition);
-            assert_eq!(tally, col_reads[p].1, "batch scan tally matches row scan");
-        }
-    }
-
-    /// `scan_batches` over row-layout pages converts per page — rows and
-    /// tallies still match the row scan exactly.
-    #[test]
-    fn batch_scans_over_row_pages_match_row_scans() {
-        let mgr = manager_with(
-            SpillConfig::default()
-                .with_budget(1)
-                .with_page_size(512)
-                .with_columnar(false),
-        );
-        let data = vec![rows(300, "rb")];
-        let (store, _) = SpilledPartitions::write(Arc::clone(&mgr), &data).unwrap();
-        let (expected, row_tally) = store.read_partition_tallied(0).unwrap();
-        let mut got = Vec::new();
-        let batch_tally = store
-            .scan_batches(0, |batch| {
-                got.extend(batch.to_rows());
-                Ok(true)
-            })
-            .unwrap();
-        assert_eq!(got, expected);
-        assert_eq!(batch_tally, row_tally);
     }
 
     #[test]
@@ -959,6 +732,136 @@ mod tests {
         let (store, tally) = SpilledPartitions::write(Arc::clone(&mgr), &partitions).unwrap();
         assert_eq!(tally.pages, 2, "one oversized page per row");
         assert_eq!(store.read_partition(0).unwrap(), partitions[0]);
+    }
+
+    /// Debug form: tells `Int64` from `Date` and keeps NaN/-0.0 visible.
+    fn exact(rows: &[Tuple]) -> String {
+        format!("{rows:?}")
+    }
+
+    #[test]
+    fn awkward_values_survive_a_spill_roundtrip_exactly() {
+        let mgr = manager(1, 512);
+        let awkward: Vec<Tuple> = (0..200)
+            .map(|i| {
+                Tuple::new(vec![
+                    if i % 2 == 0 {
+                        Value::Int64(i)
+                    } else {
+                        Value::Date(i)
+                    },
+                    match i % 4 {
+                        0 => Value::Float64(f64::NAN),
+                        1 => Value::Float64(-0.0),
+                        2 => Value::Null,
+                        _ => Value::Float64(f64::NEG_INFINITY),
+                    },
+                    Value::Bool(i % 3 == 0),
+                    Value::Utf8("é".repeat(i as usize % 9)),
+                ])
+            })
+            .collect();
+        let (store, _) =
+            SpilledPartitions::write(Arc::clone(&mgr), std::slice::from_ref(&awkward)).unwrap();
+        assert!(store.pages() > 1);
+        assert_eq!(exact(&store.read_partition(0).unwrap()), exact(&awkward));
+    }
+
+    #[test]
+    fn writer_reuses_each_partition_page_buffer() {
+        let mgr = manager(1, 512);
+        let mut writer = SpillPartitionWriter::new(Arc::clone(&mgr), 2).unwrap();
+        let data = rows(400, "reuse");
+        writer.append(0, &data[0]).unwrap();
+        let mut flushes = 0;
+        for row in &data[1..] {
+            let pages_before = writer.tally.pages;
+            writer.append(0, row).unwrap();
+            if writer.tally.pages > pages_before {
+                flushes += 1;
+                assert!(writer.bufs[0].is_empty(), "a flushed buffer is cleared");
+                assert!(
+                    writer.bufs[0].capacity() >= 512,
+                    "and keeps its page-sized allocation"
+                );
+            }
+        }
+        assert!(flushes > 2, "the data spans several pages");
+        assert_eq!(
+            writer.bufs[1].capacity(),
+            0,
+            "untouched partitions allocate nothing"
+        );
+        let (store, _) = writer.finish().unwrap();
+        assert_eq!(store.read_partition(0).unwrap(), data);
+        assert!(store.read_partition(1).unwrap().is_empty());
+    }
+
+    #[test]
+    fn pages_respect_the_page_size_and_account_for_every_row() {
+        let mgr = manager(1, 512);
+        let partitions = vec![rows(300, "p"), rows(5, "q")];
+        let (store, tally) = SpilledPartitions::write(Arc::clone(&mgr), &partitions).unwrap();
+        let mut pages = 0u64;
+        for (part, expected) in store.parts.iter().zip(&partitions) {
+            let rows: u32 = part.pages.iter().map(|m| m.rows).sum();
+            assert_eq!(rows as usize, expected.len());
+            for meta in &part.pages {
+                assert!(meta.rows >= 1, "a page holds at least one row");
+                assert!(
+                    (meta.logical_len as usize) < 512 + 64,
+                    "a page overshoots the page size by at most one row: {meta:?}"
+                );
+            }
+            pages += part.pages.len() as u64;
+        }
+        assert_eq!(pages, tally.pages);
+        assert_eq!(store.pages(), tally.pages);
+        let logical: u64 = store
+            .parts
+            .iter()
+            .flat_map(|p| &p.pages)
+            .map(|m| m.logical_len as u64)
+            .sum();
+        assert_eq!(logical, tally.logical_bytes);
+    }
+
+    #[test]
+    fn an_all_empty_store_holds_no_pages() {
+        let mgr = manager(1, 512);
+        let (store, tally) =
+            SpilledPartitions::write(Arc::clone(&mgr), &[Vec::new(), Vec::new()]).unwrap();
+        assert_eq!(tally, SpillWriteTally::default());
+        assert_eq!(store.row_count(), 0);
+        assert_eq!(store.pages(), 0);
+        for p in 0..2 {
+            let mut calls = 0;
+            let read = store
+                .scan_pages(p, |_| {
+                    calls += 1;
+                    Ok(true)
+                })
+                .unwrap();
+            assert_eq!(calls, 0, "no page, no callback");
+            assert_eq!(read, SpillReadTally::default());
+        }
+    }
+
+    #[test]
+    fn tallied_reads_match_a_full_page_scan() {
+        let mgr = manager(1, 512);
+        let partitions = vec![rows(250, "t"), rows(1, "u")];
+        let (store, write) = SpilledPartitions::write(Arc::clone(&mgr), &partitions).unwrap();
+        let mut read_total = SpillReadTally::default();
+        for (p, expected) in partitions.iter().enumerate() {
+            let (rows, tally) = store.read_partition_tallied(p).unwrap();
+            assert_eq!(&rows, expected);
+            assert_eq!(tally, store.scan_pages(p, |_| Ok(true)).unwrap());
+            read_total.add(&tally);
+        }
+        assert_eq!(read_total.pages, write.pages);
+        assert_eq!(read_total.bytes, write.bytes);
+        assert_eq!(read_total.logical_bytes, write.logical_bytes);
     }
 
     #[test]

@@ -91,12 +91,6 @@ pub struct Catalog {
     indexes: HashMap<(String, String), SecondaryIndex>,
     stats: StatsCatalog,
     spill: Option<Arc<SpillManager>>,
-    /// Store resident intermediates as columnar batch runs (`RDO_COLUMNAR`,
-    /// on by default; [`Catalog::configure_spill`] overrides it from the
-    /// run's `SpillConfig`). Base datasets always stay row-backed — the
-    /// secondary indexes and the indexed nested-loop join borrow their row
-    /// slices.
-    columnar: bool,
 }
 
 /// Compile-time guarantee that catalog reads can be shared across the worker
@@ -125,7 +119,6 @@ impl Catalog {
             indexes: HashMap::new(),
             stats: StatsCatalog::new(),
             spill: None,
-            columnar: rdo_common::columnar_default(),
         };
         debug_assert!(catalog.num_partitions >= 1, "partition count clamp failed");
         catalog
@@ -143,10 +136,6 @@ impl Catalog {
     /// driver executions reuse one directory and buffer pool) and otherwise
     /// creates a fresh manager.
     pub fn configure_spill(&mut self, config: SpillConfig) -> Result<()> {
-        // The columnar at-rest knob rides on the spill config so one
-        // `DynamicConfig` axis controls every layer; it applies to resident
-        // intermediates whether or not a budget is set.
-        self.columnar = config.columnar;
         if !config.enabled() {
             self.spill = None;
             return Ok(());
@@ -306,16 +295,6 @@ impl Catalog {
                 if let Some(manager) = manager {
                     manager.retain(table.approx_bytes() as u64);
                 }
-                // Resident intermediates rest columnar by default: the batch
-                // kernels consume the stored chunks with no row conversion.
-                // Accounting (`approx_bytes`) is backing-invariant, so the
-                // budget arithmetic above and the release in `drop_table`
-                // agree regardless of the layout.
-                let table = if self.columnar {
-                    table.into_columnar()
-                } else {
-                    table
-                };
                 self.tables.insert(name, Arc::new(table));
                 StoredIntermediate::default()
             }
@@ -406,6 +385,30 @@ mod tests {
             .map(|i| Tuple::new(vec![Value::Int64(i), Value::Int64(i % 10)]))
             .collect();
         Relation::new(schema, rows).unwrap()
+    }
+
+    /// Spilling changes where an intermediate's partitions live, never their
+    /// layout: a spilled and a resident copy hold the same rows per partition.
+    #[test]
+    fn spilled_and_resident_intermediates_share_one_layout() {
+        let mut resident = Catalog::new(3);
+        let mut spilling = Catalog::new(3);
+        spilling
+            .configure_spill(SpillConfig::default().with_budget(1).with_page_size(512))
+            .unwrap();
+        for cat in [&mut resident, &mut spilling] {
+            cat.register_intermediate("I", relation(300), Some("o_custkey"), &[], false)
+                .unwrap();
+        }
+        let (a, b) = (resident.table("I").unwrap(), spilling.table("I").unwrap());
+        assert!(!a.is_spilled() && b.is_spilled());
+        assert_eq!(b.partition_key(), a.partition_key());
+        for p in 0..3 {
+            assert_eq!(b.partition_len(p), a.partition_len(p));
+            assert_eq!(b.partition_to_vec(p).unwrap(), a.partition(p));
+        }
+        assert_eq!(b.row_count(), 300);
+        assert_eq!(b.approx_bytes(), a.approx_bytes());
     }
 
     #[test]
@@ -653,45 +656,22 @@ mod tests {
     }
 
     #[test]
-    fn intermediates_rest_columnar_and_base_tables_stay_row_backed() {
+    fn resident_intermediates_and_base_tables_stay_row_backed() {
         let mut cat = Catalog::new(4);
-        assert_eq!(
-            cat.columnar,
-            rdo_common::columnar_default(),
-            "a fresh catalog seeds the process-wide rest format"
-        );
-        // Pin columnar on explicitly: the suite also runs under CI legs
-        // that export RDO_COLUMNAR=0 for the whole process.
-        cat.configure_spill(SpillConfig::disabled().with_columnar(true))
-            .unwrap();
         cat.ingest(
             "orders",
             relation(100),
             IngestOptions::partitioned_on("o_orderkey"),
         )
         .unwrap();
-        assert!(
-            !cat.table("orders").unwrap().is_columnar(),
-            "base datasets keep borrowable row partitions"
-        );
-        cat.register_intermediate("I_col", relation(60), Some("o_custkey"), &[], false)
+        assert_eq!(cat.table("orders").unwrap().partitions().len(), 4);
+        cat.register_intermediate("I", relation(60), Some("o_custkey"), &[], false)
             .unwrap();
-        let table = cat.table("I_col").unwrap();
-        assert!(table.is_columnar() && table.is_temporary());
+        let table = cat.table("I").unwrap();
+        assert!(table.is_temporary() && !table.is_spilled());
+        let borrowed: usize = table.partitions().iter().map(Vec::len).sum();
+        assert_eq!(borrowed, 60, "resident intermediates lend their rows");
         assert_eq!(table.gather().sorted(), relation(60).sorted());
-
-        // The knob rides on the spill config: a row-layout run converts
-        // nothing.
-        cat.configure_spill(SpillConfig::disabled().with_columnar(false))
-            .unwrap();
-        cat.register_intermediate("I_row", relation(60), Some("o_custkey"), &[], false)
-            .unwrap();
-        let row = cat.table("I_row").unwrap();
-        assert!(!row.is_columnar());
-        assert_eq!(
-            row.gather().sorted(),
-            cat.table("I_col").unwrap().gather().sorted()
-        );
     }
 
     #[test]

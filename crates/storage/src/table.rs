@@ -1,13 +1,9 @@
 //! Hash-partitioned tables: memory-resident or spilled to the paged disk
 //! store of `rdo-spill`.
 
-use rdo_common::{
-    batch_size, unqualified, Batch, FieldRef, RdoError, Relation, Result, Schema, Tuple, Value,
-};
+use rdo_common::{unqualified, FieldRef, RdoError, Relation, Result, Schema, Tuple, Value};
 use rdo_sketch::hll::hash_value;
-use rdo_spill::{
-    SpillManager, SpillPartitionWriter, SpillReadTally, SpillWriteTally, SpilledPartitions,
-};
+use rdo_spill::{SpillManager, SpillReadTally, SpillWriteTally, SpilledPartitions};
 use std::sync::Arc;
 
 /// Where a table's partitions live.
@@ -15,14 +11,12 @@ use std::sync::Arc;
 /// Base datasets are always [`Backing::Memory`] (the paper keeps them in the
 /// LSM storage of the cluster nodes; the secondary indexes and the indexed
 /// nested-loop join borrow their row slices). Materialized intermediates are
-/// [`Backing::Columnar`] by default (`RDO_COLUMNAR`) — each partition a run
-/// of [`Batch`] chunks the batch kernels consume without any row
-/// conversion — or [`Backing::Spilled`] when the catalog's spill policy
-/// decides the working set exceeds the memory budget.
+/// [`Backing::Memory`] too, unless the catalog's spill policy decides the
+/// working set exceeds the memory budget and makes them
+/// [`Backing::Spilled`].
 #[derive(Debug, Clone)]
 enum Backing {
     Memory(Vec<Vec<Tuple>>),
-    Columnar(Vec<Vec<Batch>>),
     Spilled(Arc<SpilledPartitions>),
 }
 
@@ -115,50 +109,13 @@ impl Table {
         self
     }
 
-    /// Re-chunks a memory-backed table into the columnar at-rest format:
-    /// each partition becomes a run of [`Batch`]es of at most
-    /// [`batch_size()`] rows, which the batch kernels consume with no row
-    /// materialization. Columnar and spilled tables are returned unchanged.
-    pub fn into_columnar(self) -> Self {
-        let Backing::Memory(partitions) = self.backing else {
-            return self;
-        };
-        let width = self.schema.len();
-        let chunk = batch_size();
-        let columnar = partitions
-            .into_iter()
-            .map(|rows| {
-                rows.chunks(chunk)
-                    .map(|c| Batch::from_rows(width, c))
-                    .collect()
-            })
-            .collect();
-        Self {
-            backing: Backing::Columnar(columnar),
-            ..self
-        }
-    }
-
-    /// Moves a memory- or columnar-backed table into the paged disk store of
-    /// `manager`, returning the spilled table and the logical page-write
-    /// volume. A table that is already spilled is returned unchanged with a
-    /// zero tally.
+    /// Moves a memory-backed table into the paged disk store of `manager`,
+    /// returning the spilled table and the logical page-write volume. A table
+    /// that is already spilled is returned unchanged with a zero tally.
     pub fn into_spilled(self, manager: &Arc<SpillManager>) -> Result<(Self, SpillWriteTally)> {
         let (store, tally) = match self.backing {
             Backing::Memory(ref partitions) => {
                 SpilledPartitions::write(Arc::clone(manager), partitions)?
-            }
-            Backing::Columnar(ref partitions) => {
-                // Stream batch by batch — never materializes a partition.
-                let mut writer = SpillPartitionWriter::new(Arc::clone(manager), partitions.len())?;
-                for (p, batches) in partitions.iter().enumerate() {
-                    for batch in batches {
-                        for row in batch.to_rows() {
-                            writer.append(p, &row)?;
-                        }
-                    }
-                }
-                writer.finish()?
             }
             Backing::Spilled(_) => return Ok((self, SpillWriteTally::default())),
         };
@@ -191,28 +148,17 @@ impl Table {
         matches!(self.backing, Backing::Spilled(_))
     }
 
-    /// True if the partitions are stored as columnar [`Batch`] runs.
-    pub fn is_columnar(&self) -> bool {
-        matches!(self.backing, Backing::Columnar(_))
-    }
-
     /// Rows of one partition of a **memory-backed** table.
     ///
     /// # Panics
-    /// Panics for columnar and spilled tables, whose partitions have no
-    /// borrowable row slice — use [`Table::scan_batches`] /
-    /// [`Table::scan_pages`] (streaming) or [`Table::partition_to_vec`]
-    /// instead. Only base datasets are required to be memory-backed (secondary
-    /// indexes and the indexed nested-loop join rely on this accessor).
+    /// Panics for spilled tables, whose partitions have no borrowable row
+    /// slice — use [`Table::scan_pages`] (streaming) or
+    /// [`Table::partition_to_vec`] instead. Only base datasets are required to
+    /// be memory-backed (secondary indexes and the indexed nested-loop join
+    /// rely on this accessor).
     pub fn partition(&self, index: usize) -> &[Tuple] {
         match &self.backing {
             Backing::Memory(partitions) => &partitions[index],
-            Backing::Columnar(_) => {
-                panic!(
-                    "table `{}` is columnar; stream it with scan_batches",
-                    self.name
-                )
-            }
             Backing::Spilled(_) => {
                 panic!(
                     "table `{}` is spilled; stream it with scan_pages",
@@ -225,16 +171,10 @@ impl Table {
     /// All partitions of a **memory-backed** table.
     ///
     /// # Panics
-    /// Panics for columnar and spilled tables (see [`Table::partition`]).
+    /// Panics for spilled tables (see [`Table::partition`]).
     pub fn partitions(&self) -> &[Vec<Tuple>] {
         match &self.backing {
             Backing::Memory(partitions) => partitions,
-            Backing::Columnar(_) => {
-                panic!(
-                    "table `{}` is columnar; stream it with scan_batches",
-                    self.name
-                )
-            }
             Backing::Spilled(_) => {
                 panic!(
                     "table `{}` is spilled; stream it with scan_pages",
@@ -250,6 +190,32 @@ impl Table {
     /// through the buffer pool and report the logical pages/bytes fetched.
     /// `f` returns whether to keep going (early stop charges only what was
     /// read).
+    ///
+    /// ```
+    /// use rdo_common::{DataType, Relation, Schema, Tuple, Value};
+    /// use rdo_storage::{SpillConfig, SpillManager, Table};
+    ///
+    /// let schema = Schema::for_dataset("t", &[("k", DataType::Int64)]);
+    /// let rows = (0..500).map(|i| Tuple::new(vec![Value::Int64(i)])).collect();
+    /// let table = Table::from_relation("t", Relation::new(schema, rows).unwrap(), 1, None)
+    ///     .unwrap()
+    ///     .into_temporary();
+    /// let manager =
+    ///     SpillManager::create(SpillConfig::default().with_budget(1).with_page_size(512)).unwrap();
+    /// let (spilled, written) = table.into_spilled(&manager).unwrap();
+    /// let mut pages = 0;
+    /// let mut seen = 0;
+    /// let read = spilled
+    ///     .scan_pages(0, |rows| {
+    ///         pages += 1;
+    ///         seen += rows.len();
+    ///         Ok(true)
+    ///     })
+    ///     .unwrap();
+    /// assert_eq!(seen, 500);
+    /// assert_eq!(pages, written.pages);
+    /// assert_eq!(read.pages, written.pages);
+    /// ```
     pub fn scan_pages<F>(&self, index: usize, mut f: F) -> Result<SpillReadTally>
     where
         F: FnMut(&[Tuple]) -> Result<bool>,
@@ -259,63 +225,15 @@ impl Table {
                 f(&partitions[index])?;
                 Ok(SpillReadTally::default())
             }
-            Backing::Columnar(partitions) => {
-                for batch in &partitions[index] {
-                    if !f(&batch.to_rows())? {
-                        break;
-                    }
-                }
-                Ok(SpillReadTally::default())
-            }
             Backing::Spilled(store) => store.scan_pages(index, f),
         }
     }
 
-    /// Streams partition `index` through `f` as [`Batch`]es in storage order
-    /// — the batch-native twin of [`Table::scan_pages`], with the same
-    /// early-stop and tally contract. Columnar partitions hand out their
-    /// stored batches with no conversion; memory partitions are chunked at
-    /// [`batch_size()`] rows; spilled partitions decode each page (columnar
-    /// pages straight into their column representation).
-    pub fn scan_batches<F>(&self, index: usize, mut f: F) -> Result<SpillReadTally>
-    where
-        F: FnMut(&Batch) -> Result<bool>,
-    {
-        match &self.backing {
-            Backing::Memory(partitions) => {
-                let width = self.schema.len();
-                for chunk in partitions[index].chunks(batch_size().max(1)) {
-                    if !f(&Batch::from_rows(width, chunk))? {
-                        break;
-                    }
-                }
-                Ok(SpillReadTally::default())
-            }
-            Backing::Columnar(partitions) => {
-                for batch in &partitions[index] {
-                    if !f(batch)? {
-                        break;
-                    }
-                }
-                Ok(SpillReadTally::default())
-            }
-            Backing::Spilled(store) => store.scan_batches(index, f),
-        }
-    }
-
     /// Materializes one partition into an owned vector (works for every
-    /// backing; prefer [`Table::scan_batches`] / [`Table::scan_pages`] on hot
-    /// paths).
+    /// backing; prefer [`Table::scan_pages`] on hot paths).
     pub fn partition_to_vec(&self, index: usize) -> Result<Vec<Tuple>> {
         match &self.backing {
             Backing::Memory(partitions) => Ok(partitions[index].clone()),
-            Backing::Columnar(partitions) => {
-                let mut out = Vec::with_capacity(self.partition_len(index));
-                for batch in &partitions[index] {
-                    out.extend(batch.to_rows());
-                }
-                Ok(out)
-            }
             Backing::Spilled(store) => store.read_partition(index),
         }
     }
@@ -324,7 +242,6 @@ impl Table {
     pub fn partition_len(&self, index: usize) -> usize {
         match &self.backing {
             Backing::Memory(partitions) => partitions[index].len(),
-            Backing::Columnar(partitions) => partitions[index].iter().map(Batch::num_rows).sum(),
             Backing::Spilled(store) => store.partition_rows(index),
         }
     }
@@ -343,11 +260,6 @@ impl Table {
     pub fn row_count(&self) -> usize {
         match &self.backing {
             Backing::Memory(partitions) => partitions.iter().map(|p| p.len()).sum(),
-            Backing::Columnar(partitions) => partitions
-                .iter()
-                .flat_map(|p| p.iter())
-                .map(Batch::num_rows)
-                .sum(),
             Backing::Spilled(store) => store.row_count(),
         }
     }
@@ -361,13 +273,6 @@ impl Table {
                 .flat_map(|p| p.iter())
                 .map(|t| t.approx_bytes())
                 .sum(),
-            // `Batch::approx_bytes` matches the tuple-model accounting
-            // slot for slot, so the figure is backing-invariant.
-            Backing::Columnar(partitions) => partitions
-                .iter()
-                .flat_map(|p| p.iter())
-                .map(Batch::approx_bytes)
-                .sum(),
             Backing::Spilled(store) => store.approx_bytes(),
         }
     }
@@ -375,7 +280,7 @@ impl Table {
     /// Exact serialized bytes on disk (zero for memory-resident tables).
     pub fn spilled_bytes(&self) -> u64 {
         match &self.backing {
-            Backing::Memory(_) | Backing::Columnar(_) => 0,
+            Backing::Memory(_) => 0,
             Backing::Spilled(store) => store.serialized_bytes(),
         }
     }
@@ -578,85 +483,6 @@ mod tests {
     }
 
     #[test]
-    fn columnar_table_is_equivalent_to_memory_table() {
-        let memory = Table::from_relation("t", relation(777), 4, Some("k"))
-            .unwrap()
-            .into_temporary();
-        let expected_gather = memory.gather();
-        let expected_parts: Vec<Vec<Tuple>> = memory.partitions().to_vec();
-        let approx = memory.approx_bytes();
-
-        let columnar = memory.into_columnar();
-        assert!(columnar.is_columnar() && !columnar.is_spilled());
-        assert_eq!(columnar.row_count(), 777);
-        assert_eq!(
-            columnar.approx_bytes(),
-            approx,
-            "accounting is backing-invariant"
-        );
-        assert_eq!(columnar.spilled_bytes(), 0);
-        assert!(columnar.is_temporary() && columnar.is_partitioned_on("k"));
-        assert_eq!(columnar.gather(), expected_gather);
-        for (p, expected) in expected_parts.iter().enumerate() {
-            assert_eq!(&columnar.partition_to_vec(p).unwrap(), expected);
-            assert_eq!(columnar.partition_len(p), expected.len());
-            let mut streamed = Vec::new();
-            let pages = columnar
-                .scan_pages(p, |rows| {
-                    streamed.extend_from_slice(rows);
-                    Ok(true)
-                })
-                .unwrap();
-            assert_eq!(&streamed, expected);
-            assert_eq!(pages, SpillReadTally::default(), "no spill traffic");
-            let mut batched = Vec::new();
-            columnar
-                .scan_batches(p, |batch| {
-                    assert!(batch.num_rows() <= rdo_common::batch_size());
-                    batched.extend(batch.to_rows());
-                    Ok(true)
-                })
-                .unwrap();
-            assert_eq!(&batched, expected);
-        }
-        // Columnar → spilled streams without materializing, roundtrips.
-        let manager =
-            SpillManager::create(SpillConfig::default().with_budget(1).with_page_size(512))
-                .unwrap();
-        let (spilled, tally) = columnar.into_spilled(&manager).unwrap();
-        assert!(spilled.is_spilled() && tally.pages > 0);
-        assert_eq!(spilled.gather(), expected_gather);
-        // Converting non-memory backings is a no-op.
-        assert!(spilled.clone().into_columnar().is_spilled());
-    }
-
-    #[test]
-    fn memory_scan_batches_chunks_at_batch_size() {
-        let t = Table::from_relation("t", relation(100), 1, None).unwrap();
-        let mut rows_seen = 0usize;
-        let mut batches = 0usize;
-        t.scan_batches(0, |batch| {
-            assert!(batch.num_rows() <= rdo_common::batch_size());
-            assert_eq!(batch.num_columns(), 2);
-            rows_seen += batch.num_rows();
-            batches += 1;
-            Ok(true)
-        })
-        .unwrap();
-        assert_eq!(rows_seen, 100);
-        assert!(batches >= 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "columnar")]
-    fn borrowing_partitions_of_a_columnar_table_panics() {
-        let t = Table::from_relation("t", relation(10), 2, Some("k"))
-            .unwrap()
-            .into_columnar();
-        let _ = t.partitions();
-    }
-
-    #[test]
     #[should_panic(expected = "spilled")]
     fn borrowing_partitions_of_a_spilled_table_panics() {
         let manager = SpillManager::create(SpillConfig::default().with_budget(1)).unwrap();
@@ -680,5 +506,90 @@ mod tests {
         assert_eq!(seen, t.partition_len(0));
         assert_eq!(tally, SpillReadTally::default());
         assert_eq!(t.spilled_bytes(), 0);
+    }
+
+    #[test]
+    fn memory_scan_pages_hands_over_each_partition_as_one_page() {
+        let schema = relation(0).schema().clone();
+        let parts = vec![relation(5).into_rows(), Vec::new(), relation(2).into_rows()];
+        let t = Table::from_partitions("t", schema, parts.clone(), None).unwrap();
+        for (p, expected) in parts.iter().enumerate() {
+            let mut pages: Vec<Vec<Tuple>> = Vec::new();
+            t.scan_pages(p, |rows| {
+                pages.push(rows.to_vec());
+                Ok(true)
+            })
+            .unwrap();
+            assert_eq!(pages, vec![expected.clone()], "partition {p}");
+            assert_eq!(t.partition_to_vec(p).unwrap(), *expected);
+        }
+    }
+
+    #[test]
+    fn spilled_scan_pages_stop_when_the_callback_says_so() {
+        let manager =
+            SpillManager::create(SpillConfig::default().with_budget(1).with_page_size(512))
+                .unwrap();
+        let (spilled, write) = Table::from_relation("t", relation(400), 1, None)
+            .unwrap()
+            .into_spilled(&manager)
+            .unwrap();
+        assert!(write.pages > 2);
+        let mut seen = 0usize;
+        let read = spilled
+            .scan_pages(0, |rows| {
+                seen += rows.len();
+                Ok(seen < 50)
+            })
+            .unwrap();
+        assert!((50..400).contains(&seen), "stopped early after {seen} rows");
+        assert!(read.pages < write.pages);
+        let mut first_page = None;
+        spilled
+            .scan_pages(0, |rows| {
+                first_page = Some(rows.to_vec());
+                Ok(false)
+            })
+            .unwrap();
+        let first_page = first_page.unwrap();
+        assert_eq!(first_page[..], relation(400).rows()[..first_page.len()]);
+    }
+
+    #[test]
+    fn spilled_tables_keep_awkward_values_bit_exact() {
+        let schema = Schema::for_dataset(
+            "t",
+            &[
+                ("k", DataType::Int64),
+                ("f", DataType::Float64),
+                ("d", DataType::Date),
+            ],
+        );
+        let rows: Vec<Tuple> = (0..120)
+            .map(|i| {
+                Tuple::new(vec![
+                    if i % 7 == 0 {
+                        Value::Null
+                    } else {
+                        Value::Int64(i % 10)
+                    },
+                    match i % 3 {
+                        0 => Value::Float64(f64::NAN),
+                        1 => Value::Float64(-0.0),
+                        _ => Value::Float64(0.0),
+                    },
+                    Value::Date(i % 10),
+                ])
+            })
+            .collect();
+        let memory =
+            Table::from_relation("t", Relation::new(schema, rows).unwrap(), 3, Some("k")).unwrap();
+        let manager = SpillManager::create(SpillConfig::default().with_budget(1)).unwrap();
+        let expected = format!("{:?}", memory.gather().rows());
+        let (spilled, _) = memory.into_spilled(&manager).unwrap();
+        assert_eq!(
+            format!("{:?}", spilled.try_gather().unwrap().rows()),
+            expected
+        );
     }
 }

@@ -264,6 +264,16 @@ pub fn ensure_started_from_env() {
 mod tests {
     use super::*;
 
+    /// The registry is process-wide: a scrape in one test upgrades every
+    /// registered `Weak` — another test's too — to a strong `Arc` for the
+    /// length of the scrape, so a handle dropped meanwhile outlives its
+    /// drop. Every test that registers or scrapes holds this lock.
+    static REGISTRY_TESTS: Mutex<()> = Mutex::new(());
+
+    fn serialized() -> std::sync::MutexGuard<'static, ()> {
+        REGISTRY_TESTS.lock().unwrap_or_else(|p| p.into_inner())
+    }
+
     fn http_get(addr: SocketAddr, path: &str) -> String {
         let mut stream = TcpStream::connect(addr).unwrap();
         stream
@@ -276,6 +286,7 @@ mod tests {
 
     #[test]
     fn serves_metrics_and_progress_for_registered_queries() {
+        let _serial = serialized();
         let handle = TraceHandle::enabled();
         {
             let _guard = handle.install();
@@ -312,6 +323,7 @@ mod tests {
 
     #[test]
     fn dead_queries_are_pruned_from_the_registry() {
+        let _serial = serialized();
         let handle = TraceHandle::enabled();
         handle.counter("progress.rows_produced", 7);
         register_query("serve-pruned-q", &handle);
@@ -322,6 +334,7 @@ mod tests {
 
     #[test]
     fn register_is_idempotent_per_collector() {
+        let _serial = serialized();
         let handle = TraceHandle::enabled();
         register_query("serve-idem-q", &handle);
         register_query("serve-idem-q", &handle);

@@ -13,14 +13,7 @@
 //!
 //! Run with: `cargo run --release --example overhead_breakdown`
 
-use runtime_dynamic_optimization::exec::partition::{
-    batch_size, hash_join_partition_chunked, hash_join_partition_rows,
-    repartition_partition_chunked, repartition_partition_rows, scan_partition_chunked,
-    scan_partition_rows,
-};
-use runtime_dynamic_optimization::exec::setup::prepare_scan;
 use runtime_dynamic_optimization::prelude::*;
-use std::time::Instant;
 
 fn main() -> rdo_common::Result<()> {
     let scale = ScaleFactor::gb(20);
@@ -123,263 +116,5 @@ fn main() -> rdo_common::Result<()> {
         println!("...");
     }
 
-    // A third decomposition, one level below the driver stages: the physical
-    // operator kernels themselves, timed head to head — the row-at-a-time
-    // reference kernels (`*_rows`) against the columnar batch kernels that
-    // now back them — over the same query data (every alias's scan, every
-    // join condition, every repartition of the four queries). Outputs are
-    // asserted identical; only the wall time differs.
-    println!(
-        "\nper-operator kernel wall time, row reference vs columnar batches \
-         (batch size {}, best of {KERNEL_REPS} reps):",
-        batch_size()
-    );
-    println!(
-        "{:<12} {:>12} {:>12} {:>10}",
-        "operator", "row ms", "batch ms", "batch/row"
-    );
-    for (operator, row_s, batch_s) in kernel_timings(&env)? {
-        println!(
-            "{:<12} {:>12.2} {:>12.2} {:>9.2}x",
-            operator,
-            row_s * 1_000.0,
-            batch_s * 1_000.0,
-            batch_s / row_s.max(f64::MIN_POSITIVE)
-        );
-    }
-
-    // A fourth decomposition, at the storage boundary: the same scan→join
-    // pipeline executed over an intermediate resting as row-vector partitions
-    // and again over one resting as columnar batches (the `RDO_COLUMNAR`
-    // knob, pinned here per catalog so the example is env-independent).
-    // Outputs are asserted identical; only the rest format differs.
-    println!(
-        "\nscan→join pipeline over a resting intermediate, row vs columnar \
-         rest format (best of {KERNEL_REPS} reps):"
-    );
-    println!(
-        "{:<12} {:>12} {:>12} {:>10}",
-        "pipeline", "row ms", "columnar ms", "col/row"
-    );
-    let (rest_row_s, rest_col_s) = rest_format_timings()?;
-    println!(
-        "{:<12} {:>12.2} {:>12.2} {:>9.2}x",
-        "scan→join",
-        rest_row_s * 1_000.0,
-        rest_col_s * 1_000.0,
-        rest_col_s / rest_row_s.max(f64::MIN_POSITIVE)
-    );
     Ok(())
-}
-
-/// Times one hash-join pipeline over a registered intermediate twice: once
-/// with the catalog pinned to the row rest format and once pinned to columnar
-/// partitions. The probe side is a 50k-row intermediate (the shape
-/// `register_intermediate` exists for), the build side a 10k-row base table;
-/// both catalogs hold bit-identical data, and the joined outputs are asserted
-/// equal before anything is timed.
-fn rest_format_timings() -> rdo_common::Result<(f64, f64)> {
-    let build_catalog = |columnar: bool| -> rdo_common::Result<Catalog> {
-        let mut catalog = Catalog::new(8);
-        catalog.configure_spill(SpillConfig::disabled().with_columnar(columnar))?;
-        let dim_schema = Schema::for_dataset(
-            "dim",
-            &[("d_id", DataType::Int64), ("d_val", DataType::Int64)],
-        );
-        let dim: Vec<Tuple> = (0..10_000)
-            .map(|i| Tuple::new(vec![Value::Int64(i), Value::Int64(i % 17)]))
-            .collect();
-        catalog.ingest(
-            "dim",
-            Relation::new(dim_schema, dim)?,
-            IngestOptions::partitioned_on("d_id"),
-        )?;
-        let temp_schema = Schema::for_dataset(
-            "temp",
-            &[
-                ("t_id", DataType::Int64),
-                ("t_dim", DataType::Int64),
-                ("t_tag", DataType::Utf8),
-            ],
-        );
-        let temp: Vec<Tuple> = (0..50_000)
-            .map(|i| {
-                Tuple::new(vec![
-                    Value::Int64(i),
-                    Value::Int64(i % 10_000),
-                    Value::Utf8(format!("tag-{:04}", i % 500)),
-                ])
-            })
-            .collect();
-        catalog.register_intermediate(
-            "temp",
-            Relation::new(temp_schema, temp)?,
-            Some("t_dim"),
-            &[],
-            false,
-        )?;
-        assert_eq!(
-            catalog.table("temp")?.is_columnar(),
-            columnar,
-            "the intermediate must rest in the requested layout"
-        );
-        Ok(catalog)
-    };
-    let plan = PhysicalPlan::join(
-        PhysicalPlan::scan("temp"),
-        PhysicalPlan::scan("dim"),
-        FieldRef::new("temp", "t_dim"),
-        FieldRef::new("dim", "d_id"),
-        JoinAlgorithm::Hash,
-    );
-    let run = |catalog: &Catalog| -> rdo_common::Result<Relation> {
-        let mut metrics = ExecutionMetrics::new();
-        Ok(Executor::new(catalog)
-            .execute(&plan, &mut metrics)?
-            .gather())
-    };
-
-    let row_catalog = build_catalog(false)?;
-    let col_catalog = build_catalog(true)?;
-    assert_eq!(
-        run(&row_catalog)?,
-        run(&col_catalog)?,
-        "rest formats must produce identical join output"
-    );
-
-    let best = |catalog: &Catalog| -> rdo_common::Result<f64> {
-        let mut best = f64::INFINITY;
-        for _ in 0..KERNEL_REPS {
-            let start = Instant::now();
-            run(catalog)?;
-            best = best.min(start.elapsed().as_secs_f64());
-        }
-        Ok(best)
-    };
-    Ok((best(&row_catalog)?, best(&col_catalog)?))
-}
-
-const KERNEL_REPS: usize = 5;
-
-/// Times the scan, hash-join and repartition kernels over all four queries'
-/// data, row path vs batch path, returning (operator, row seconds, batch
-/// seconds) with the best-of-`KERNEL_REPS` wall time for each path.
-fn kernel_timings(env: &BenchmarkEnv) -> rdo_common::Result<Vec<(&'static str, f64, f64)>> {
-    // Pre-resolve everything once so the timed loops run kernels only.
-    // Scans: (alias-resolved schema, predicates, partitions) per alias.
-    let mut scans = Vec::new();
-    // Joins and repartitions: predicate-filtered partition-0 sides.
-    let mut joins = Vec::new();
-    let mut shuffles = Vec::new();
-    let num_partitions = env.catalog.num_partitions();
-    for query in all_queries() {
-        for alias in query.aliases() {
-            let table = env.catalog.table(query.table_of(alias)?)?;
-            let setup = prepare_scan(table, alias, None)?;
-            let predicates: Vec<Predicate> =
-                query.predicates_for(alias).into_iter().cloned().collect();
-            let filtered =
-                scan_partition_rows(&setup.schema, &predicates, None, table.partition(0))?.0;
-            if let Some(columns) = query.join_key_columns().get(alias) {
-                let key = setup
-                    .schema
-                    .resolve(&FieldRef::new(alias, columns[0].clone()))?;
-                shuffles.push((filtered.clone(), key));
-            }
-            for join in query.joins_involving(alias) {
-                // Each condition once, from its left side.
-                let left_key = join.key_of(alias).expect("alias key");
-                if left_key != &join.left {
-                    continue;
-                }
-                let right_alias = join.right.dataset.as_str();
-                let right_table = env.catalog.table(query.table_of(right_alias)?)?;
-                let right_setup = prepare_scan(right_table, right_alias, None)?;
-                let right_predicates: Vec<Predicate> = query
-                    .predicates_for(right_alias)
-                    .into_iter()
-                    .cloned()
-                    .collect();
-                let right_rows = scan_partition_rows(
-                    &right_setup.schema,
-                    &right_predicates,
-                    None,
-                    right_table.partition(0),
-                )?
-                .0;
-                let probe_key = setup.schema.resolve(&join.left)?;
-                let build_key = right_setup.schema.resolve(&join.right)?;
-                joins.push((filtered.clone(), right_rows, probe_key, build_key));
-            }
-            scans.push((setup.schema, predicates, table));
-        }
-    }
-
-    let chunk = batch_size();
-    let best = |f: &mut dyn FnMut() -> rdo_common::Result<()>| -> rdo_common::Result<f64> {
-        let mut best = f64::INFINITY;
-        for _ in 0..KERNEL_REPS {
-            let start = Instant::now();
-            f()?;
-            best = best.min(start.elapsed().as_secs_f64());
-        }
-        Ok(best)
-    };
-
-    let scan_row = best(&mut || {
-        for (schema, predicates, table) in &scans {
-            for p in 0..table.num_partitions() {
-                scan_partition_rows(schema, predicates, None, table.partition(p))?;
-            }
-        }
-        Ok(())
-    })?;
-    let scan_batch = best(&mut || {
-        for (schema, predicates, table) in &scans {
-            for p in 0..table.num_partitions() {
-                scan_partition_chunked(schema, predicates, None, table.partition(p), chunk)?;
-            }
-        }
-        Ok(())
-    })?;
-
-    let join_row = best(&mut || {
-        for (probe, build, pk, bk) in &joins {
-            hash_join_partition_rows(probe, build, &[*pk], &[*bk]);
-        }
-        Ok(())
-    })?;
-    let join_batch = best(&mut || {
-        for (probe, build, pk, bk) in &joins {
-            hash_join_partition_chunked(probe, build, &[*pk], &[*bk], chunk);
-        }
-        Ok(())
-    })?;
-    // Untimed sanity pass: both paths must produce identical join output.
-    for (probe, build, pk, bk) in &joins {
-        assert_eq!(
-            hash_join_partition_chunked(probe, build, &[*pk], &[*bk], chunk),
-            hash_join_partition_rows(probe, build, &[*pk], &[*bk]),
-            "kernel outputs diverged"
-        );
-    }
-
-    let shuffle_row = best(&mut || {
-        for (rows, key) in &shuffles {
-            repartition_partition_rows(rows, *key, 0, num_partitions);
-        }
-        Ok(())
-    })?;
-    let shuffle_batch = best(&mut || {
-        for (rows, key) in &shuffles {
-            repartition_partition_chunked(rows, *key, 0, num_partitions, chunk);
-        }
-        Ok(())
-    })?;
-
-    Ok(vec![
-        ("scan", scan_row, scan_batch),
-        ("hash join", join_row, join_batch),
-        ("repartition", shuffle_row, shuffle_batch),
-    ])
 }

@@ -84,10 +84,7 @@ pub use rdo_workloads as workloads;
 
 /// Convenience re-exports of the most commonly used types.
 pub mod prelude {
-    pub use rdo_common::{
-        batch_size, columnar_default, Batch, Column, DataType, Field, FieldRef, NullBitmap,
-        Relation, Schema, Tuple, Value, BATCH_SIZE_ENV, COLUMNAR_ENV, DEFAULT_BATCH_SIZE,
-    };
+    pub use rdo_common::{DataType, Field, FieldRef, Relation, Schema, Tuple, Value};
     pub use rdo_core::{
         CheckpointLog, CostBreakdown, DynamicConfig, DynamicDriver, DynamicOutcome,
         FailureInjector, OverheadReport, QueryRunner, RunReport, Strategy,
@@ -110,7 +107,6 @@ pub mod prelude {
         ServerHandle, SqlServer,
     };
     pub use rdo_sketch::{ColumnStats, EquiHeightHistogram, GkSketch, HyperLogLog, StatsCatalog};
-    pub use rdo_spill::{decode_batch, encode_batch};
     pub use rdo_sql::{compile, BoundQuery, ParamBindings, UdfRegistry};
     pub use rdo_storage::{
         Catalog, IngestOptions, SecondaryIndex, SpillConfig, StoredIntermediate, Table,

@@ -74,23 +74,38 @@ fn recovery_skips_already_executed_work() {
     assert_eq!(resumed.result.sorted(), full.result.sorted());
 }
 
-/// Every crash point on Q9, at 1 and 2 workers, in memory and with a 1-byte
-/// spill budget (so the checkpoints live in spill files): the resumed run's
-/// result, stage plans (recovered marker stripped) and audit trail equal an
-/// uninterrupted `execute`'s, the catalog's table set is restored, the spill
-/// directory is empty again and a traced resume records its stage spans.
+/// Every crash point on Q9, at 1 and 2 workers, crashed and resumed in
+/// memory or with a 1-byte spill budget (so the checkpoints live in spill
+/// files) — including a resume under the other spill configuration, which
+/// swaps the catalog's spill manager under the journaled tables: the resumed
+/// run's result, stage plans (recovered marker stripped) and audit trail
+/// equal an uninterrupted `execute`'s, the catalog's table set is restored,
+/// no spill file or orphaned spill directory is left behind and a traced
+/// resume records its stage spans.
 #[test]
 fn every_crash_point_recovers_to_the_same_answer() {
+    let with_budget = |config: DynamicConfig, budget: Option<u64>| match budget {
+        Some(bytes) => config.with_spill(SpillConfig::disabled().with_budget(bytes)),
+        None => config,
+    };
+    // (crash-time, resume-time) spill budgets.
+    let budgets = [
+        (None, None),
+        (Some(1), Some(1)),
+        (None, Some(1)),
+        (Some(1), None),
+    ];
     for workers in [1, 2] {
-        for spill_budget in [None, Some(1)] {
+        for (crash_budget, resume_budget) in budgets {
             let mut env = env();
-            let mut config = config().with_parallel(ParallelConfig::serial().with_workers(workers));
-            if let Some(bytes) = spill_budget {
-                config = config.with_spill(SpillConfig::disabled().with_budget(bytes));
-            }
-            let case = format!("workers={workers} spill_budget={spill_budget:?}");
+            let base = config().with_parallel(ParallelConfig::serial().with_workers(workers));
+            let crash_config = with_budget(base.clone(), crash_budget);
+            let resume_config = with_budget(base, resume_budget);
+            let case = format!(
+                "workers={workers} crash_budget={crash_budget:?} resume_budget={resume_budget:?}"
+            );
             let tables_before = table_set(&env.catalog);
-            let expected = DynamicDriver::new(config.clone())
+            let expected = DynamicDriver::new(resume_config.clone())
                 .execute(&q9(), &mut env.catalog)
                 .unwrap();
             let stages = expected.stages_executed();
@@ -99,24 +114,28 @@ fn every_crash_point_recovers_to_the_same_answer() {
             for crash_after in 1..=stages {
                 let mut log =
                     CheckpointLog::new().with_injector(FailureInjector::after_stages(crash_after));
-                let first =
-                    DynamicDriver::new(config.clone()).resume(&q9(), &mut env.catalog, &mut log);
+                let first = DynamicDriver::new(crash_config.clone()).resume(
+                    &q9(),
+                    &mut env.catalog,
+                    &mut log,
+                );
                 assert!(
                     first.is_err(),
                     "{case}: crash point {crash_after} should fail"
                 );
                 assert_eq!(log.len() as u32, crash_after, "{case}");
-                if spill_budget.is_some() {
-                    let dir = env.catalog.spill_dir().expect("spill configured");
+                let crash_dir = env.catalog.spill_dir();
+                if crash_budget.is_some() {
+                    let dir = crash_dir.as_ref().expect("spill configured");
                     assert!(
-                        std::fs::read_dir(&dir).unwrap().count() > 0,
+                        std::fs::read_dir(dir).unwrap().count() > 0,
                         "{case}: the checkpoints live in spill files"
                     );
                 }
 
                 let trace = TraceHandle::enabled();
                 log.injector = FailureInjector::none();
-                let recovered = DynamicDriver::new(config.clone().with_trace(trace.clone()))
+                let recovered = DynamicDriver::new(resume_config.clone().with_trace(trace.clone()))
                     .resume(&q9(), &mut env.catalog, &mut log)
                     .unwrap();
                 let context = format!("{case}: crash after stage {crash_after}");
@@ -132,11 +151,18 @@ fn every_crash_point_recovers_to_the_same_answer() {
 
                 assert!(log.is_empty(), "{context}");
                 assert_eq!(table_set(&env.catalog), tables_before, "{context}");
-                if let Some(dir) = env.catalog.spill_dir() {
+                let live_dir = env.catalog.spill_dir();
+                if let Some(dir) = &live_dir {
                     assert_eq!(
-                        std::fs::read_dir(&dir).unwrap().count(),
+                        std::fs::read_dir(dir).unwrap().count(),
                         0,
                         "{context}: spill directory empty after success"
+                    );
+                }
+                if let Some(dir) = crash_dir.filter(|d| Some(d) != live_dir.as_ref()) {
+                    assert!(
+                        !dir.exists(),
+                        "{context}: the crash-time spill directory {dir:?} outlived its tables"
                     );
                 }
                 let spans: BTreeSet<String> = trace

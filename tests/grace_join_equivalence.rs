@@ -199,11 +199,7 @@ fn compression_and_prefetch_axes_are_bit_identical() {
                 SpillConfig::disabled()
                     .with_join_budget(TINY_JOIN_BUDGET)
                     .with_compression(compress)
-                    .with_prefetch_pages(prefetch)
-                    // Row layout pinned: the flag-byte identity asserted at
-                    // the end is a row-codec property. The columnar axis has
-                    // its own test below.
-                    .with_columnar(false),
+                    .with_prefetch_pages(prefetch),
             );
         DynamicDriver::new(config)
             .execute(&query, &mut catalog)
@@ -243,58 +239,6 @@ fn compression_and_prefetch_axes_are_bit_identical() {
         raw.total.grace_bytes_written,
         raw.total.grace_logical_bytes_written + raw.total.grace_pages_written
     );
-}
-
-/// The at-rest layout knob is physical-only for grace partition files too:
-/// columnar bucket pages change neither results nor plans nor any logical
-/// grace counter (page counts, logical volumes, recursions, fallbacks and
-/// the peak transient footprint all follow the row codec's size accounting),
-/// while the compressed columnar pages never store more than the compressed
-/// row pages on any evaluation query.
-#[test]
-fn columnar_pages_are_bit_identical_and_never_larger() {
-    let env = env();
-    let run = |query: &QuerySpec, columnar: bool| {
-        let mut catalog = env.catalog.clone();
-        let config = DynamicConfig::default()
-            .with_parallel(ParallelConfig::serial().with_workers(2))
-            .with_spill(
-                SpillConfig::disabled()
-                    .with_join_budget(TINY_JOIN_BUDGET)
-                    .with_compression(true)
-                    .with_columnar(columnar),
-            );
-        DynamicDriver::new(config)
-            .execute(query, &mut catalog)
-            .expect("grace execution")
-    };
-    for query in all_queries() {
-        let row = run(&query, false);
-        let col = run(&query, true);
-        assert_eq!(col.result, row.result, "{}", query.name);
-        assert_eq!(col.stage_plans, row.stage_plans, "{}", query.name);
-        let mut scrubbed = col.total;
-        scrubbed.grace_bytes_written = row.total.grace_bytes_written;
-        scrubbed.grace_bytes_read = row.total.grace_bytes_read;
-        assert_eq!(
-            scrubbed, row.total,
-            "{}: only stored bytes may differ between layouts",
-            query.name
-        );
-        assert!(
-            col.total.grace_bytes_written <= row.total.grace_bytes_written
-                && col.total.grace_bytes_read <= row.total.grace_bytes_read,
-            "{}: columnar bucket pages must not compress worse: {} vs {}",
-            query.name,
-            col.total.grace_bytes_written,
-            row.total.grace_bytes_written
-        );
-        assert!(
-            col.total.grace_bytes_written > 0,
-            "{}: the columnar run still partitioned out-of-core",
-            query.name
-        );
-    }
 }
 
 /// Spilling joins surface in the simulated cost: the grace run charges its

@@ -140,11 +140,7 @@ fn compression_and_prefetch_axes_are_bit_identical() {
                 SpillConfig::disabled()
                     .with_budget(TINY_BUDGET)
                     .with_compression(compress)
-                    .with_prefetch_pages(prefetch)
-                    // Row layout pinned: the flag-byte identity asserted at
-                    // the end is a row-codec property. The columnar axis has
-                    // its own test below.
-                    .with_columnar(false),
+                    .with_prefetch_pages(prefetch),
             );
         DynamicDriver::new(config)
             .execute(query, &mut catalog)
@@ -215,59 +211,6 @@ fn compression_and_prefetch_axes_are_bit_identical() {
         raw.total.spill_bytes_written,
         raw.total.spill_logical_bytes_written + raw.total.spill_pages_written
     );
-}
-
-/// The at-rest layout knob is physical-only: columnar spill pages change
-/// neither results nor plans nor any logical metric — page counts, logical
-/// byte volumes and peak-transient figures are decided by the row codec's
-/// size accounting in both layouts — while the compressed columnar pages
-/// never store more than the compressed row pages on any evaluation query.
-#[test]
-fn columnar_pages_are_bit_identical_and_never_larger() {
-    let env = env();
-    let run = |query: &QuerySpec, columnar: bool| {
-        let mut catalog = env.catalog.clone();
-        let config = DynamicConfig::default()
-            .with_parallel(ParallelConfig::serial().with_workers(2))
-            .with_spill(
-                SpillConfig::disabled()
-                    .with_budget(TINY_BUDGET)
-                    .with_compression(true)
-                    .with_columnar(columnar),
-            );
-        DynamicDriver::new(config)
-            .execute(query, &mut catalog)
-            .expect("out-of-core execution")
-    };
-    for query in all_queries() {
-        let row = run(&query, false);
-        let col = run(&query, true);
-        assert_eq!(col.result, row.result, "{}", query.name);
-        assert_eq!(col.stage_plans, row.stage_plans, "{}", query.name);
-        // Everything but the stored byte counters is layout-invariant —
-        // including page counts and the logical spill volumes.
-        let mut scrubbed = col.total;
-        scrubbed.spill_bytes_written = row.total.spill_bytes_written;
-        scrubbed.spill_bytes_read = row.total.spill_bytes_read;
-        assert_eq!(
-            scrubbed, row.total,
-            "{}: only stored bytes may differ between layouts",
-            query.name
-        );
-        assert!(
-            col.total.spill_bytes_written <= row.total.spill_bytes_written
-                && col.total.spill_bytes_read <= row.total.spill_bytes_read,
-            "{}: columnar pages must not compress worse: {} vs {}",
-            query.name,
-            col.total.spill_bytes_written,
-            row.total.spill_bytes_written
-        );
-        assert!(
-            col.total.spill_bytes_written > 0,
-            "{}: the columnar run still went out-of-core",
-            query.name
-        );
-    }
 }
 
 /// The strategy runner's report surface also reflects the spill: simulated

@@ -1,11 +1,13 @@
 //! Micro-benchmarks of the three join algorithms (hash, broadcast, indexed
 //! nested-loop) on a key/foreign-key join, at two build-side sizes. These back
 //! the join-algorithm selection rule: broadcast/INL should win while the build
-//! side is small, hash should win once it is not.
+//! side is small, hash should win once it is not. They run on one worker, so
+//! the numbers are per-core kernel costs.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rdo_common::{DataType, FieldRef, Relation, Schema, Tuple, Value};
-use rdo_exec::{ExecutionMetrics, Executor, JoinAlgorithm, PhysicalPlan};
+use rdo_exec::{ExecutionMetrics, JoinAlgorithm, PhysicalPlan};
+use rdo_parallel::{ParallelConfig, ParallelExecutor};
 use rdo_storage::{Catalog, IngestOptions};
 
 fn build_catalog(fact_rows: i64, dim_rows: i64) -> Catalog {
@@ -67,7 +69,7 @@ fn bench_joins(c: &mut Criterion) {
                 &plan,
                 |b, plan| {
                     b.iter(|| {
-                        let executor = Executor::new(&catalog);
+                        let executor = ParallelExecutor::new(&catalog, ParallelConfig::serial());
                         let mut metrics = ExecutionMetrics::new();
                         executor.execute(plan, &mut metrics).unwrap().row_count()
                     });

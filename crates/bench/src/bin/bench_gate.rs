@@ -25,9 +25,8 @@
 use rdo_common::{DataType, FieldRef, Relation, Schema, Tuple, Value};
 use rdo_core::{DynamicConfig, DynamicDriver, ParallelConfig};
 use rdo_exec::partition::{hash_join_partition, repartition_partition, scan_partition};
-use rdo_exec::{
-    CmpOp, CostModel, ExecutionMetrics, Executor, JoinAlgorithm, PhysicalPlan, Predicate,
-};
+use rdo_exec::{CmpOp, CostModel, ExecutionMetrics, JoinAlgorithm, PhysicalPlan, Predicate};
+use rdo_parallel::ParallelExecutor;
 use rdo_storage::{Catalog, IngestOptions, SpillConfig};
 use rdo_workloads::{all_queries, BenchmarkEnv, ScaleFactor};
 use serde::Serialize;
@@ -304,7 +303,7 @@ fn run_join(
         FieldRef::new("dim", "d_id"),
         algorithm,
     );
-    let executor = Executor::new(catalog);
+    let executor = ParallelExecutor::new(catalog, ParallelConfig::serial());
     let mut metrics = ExecutionMetrics::new();
     let start = Instant::now();
     let data = executor
@@ -404,7 +403,7 @@ fn run_spill(label: &str, compress: bool, model: &CostModel) -> BenchRecord {
     metrics.spill_pages_written += stored.pages_written;
     metrics.spill_bytes_written += stored.bytes_written;
     metrics.spill_logical_bytes_written += stored.logical_bytes_written;
-    let data = Executor::new(&catalog)
+    let data = ParallelExecutor::new(&catalog, ParallelConfig::serial())
         .execute(&PhysicalPlan::scan("temp"), &mut metrics)
         .expect("scan spilled intermediate");
     BenchRecord {
@@ -468,7 +467,7 @@ fn run_storage(label: &str, model: &CostModel) -> BenchRecord {
         FieldRef::new("dim", "d_id"),
         JoinAlgorithm::Hash,
     );
-    let data = Executor::new(&catalog)
+    let data = ParallelExecutor::new(&catalog, ParallelConfig::serial())
         .execute(&plan, &mut metrics)
         .expect("join over the intermediate");
     BenchRecord {

@@ -163,22 +163,6 @@ impl DynamicConfig {
         self
     }
 
-    /// Switches spill-page compression on or off (builder style; on by
-    /// default, `RDO_SPILL_COMPRESS` overrides the default). Physical only:
-    /// results and all logical metrics are identical either way, the stored
-    /// `spill_bytes_*` / `grace_bytes_*` counters shrink.
-    pub fn with_spill_compression(mut self, compress: bool) -> Self {
-        self.spill = self.spill.with_compression(compress);
-        self
-    }
-
-    /// Sets the spill-scan read-ahead in pages (builder style; `0` disables
-    /// prefetching, `RDO_SPILL_PREFETCH` overrides the default).
-    pub fn with_spill_prefetch(mut self, pages: usize) -> Self {
-        self.spill = self.spill.with_prefetch_pages(pages);
-        self
-    }
-
     /// Sets the trace handle the execution records into (builder style).
     /// Keep a clone of the handle to read the profile after the run.
     pub fn with_trace(mut self, trace: rdo_trace::TraceHandle) -> Self {

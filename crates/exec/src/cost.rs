@@ -51,7 +51,7 @@ pub struct ExecutionMetrics {
     /// independent of worker count and buffer-pool state.
     pub spill_pages_written: u64,
     /// Stored bytes written to the spill store — the *measured* on-disk size
-    /// of spilled intermediates (compressed when `RDO_SPILL_COMPRESS` is on),
+    /// of spilled intermediates (LZ-compressed unless `SpillConfig::compress` is off),
     /// as opposed to the modeled `bytes_materialized`.
     pub spill_bytes_written: u64,
     /// Pages read back from the spill store.
@@ -154,8 +154,8 @@ impl ExecutionMetrics {
     /// plain sum (except `grace_peak_transient_bytes`, a max-merged
     /// high-water mark), so the operation is associative and commutative —
     /// the partition-parallel executor folds worker partials in partition
-    /// order and gets the same totals the serial executor accumulates,
-    /// regardless of which worker ran which partition.
+    /// order and gets the same totals for every worker count, regardless of
+    /// which worker ran which partition.
     #[must_use]
     pub fn merge(mut self, other: ExecutionMetrics) -> ExecutionMetrics {
         self.add(&other);

@@ -92,31 +92,6 @@ impl PartitionedData {
         self.partition_key.as_deref() == Some(unqualified)
     }
 
-    /// Re-partitions the data by hashing the value at `key_index`; returns the
-    /// new data and the number of rows that had to move between partitions
-    /// (the shuffle volume the cost model charges for).
-    pub fn repartition(&self, key_index: usize, key_name: &str) -> (PartitionedData, u64, u64) {
-        let n = self.num_partitions();
-        let mut new_partitions: Vec<Vec<Tuple>> = vec![Vec::new(); n];
-        let mut moved_rows = 0u64;
-        let mut moved_bytes = 0u64;
-        for (from, partition) in self.partitions.iter().enumerate() {
-            let (buckets, rows, bytes) =
-                crate::partition::repartition_partition(partition, key_index, from, n);
-            moved_rows += rows;
-            moved_bytes += bytes;
-            for (to, mut bucket) in buckets.into_iter().enumerate() {
-                new_partitions[to].append(&mut bucket);
-            }
-        }
-        let key_name = rdo_common::unqualified(key_name).to_string();
-        (
-            PartitionedData::new(self.schema.clone(), new_partitions, Some(key_name)),
-            moved_rows,
-            moved_bytes,
-        )
-    }
-
     /// Gathers all partitions into a single relation (result delivery).
     pub fn gather(&self) -> Relation {
         let mut rel = Relation::empty(self.schema.clone());
@@ -165,31 +140,6 @@ mod tests {
         assert!(d.approx_bytes() > 0);
         assert_eq!(d.gather().len(), 100);
         assert_eq!(d.all_rows().len(), 100);
-    }
-
-    #[test]
-    fn repartition_moves_rows_to_hash_partition() {
-        let d = data(1000, 8);
-        let (r, moved_rows, moved_bytes) = d.repartition(1, "t.g");
-        assert_eq!(r.row_count(), 1000);
-        assert!(r.is_partitioned_on("g"));
-        assert!(r.is_partitioned_on("t.g"));
-        assert!(moved_rows > 0 && moved_rows <= 1000);
-        assert!(moved_bytes > 0);
-        // Every row must be in the partition its key hashes to.
-        for (p, rows) in r.partitions().iter().enumerate() {
-            for row in rows {
-                assert_eq!(partition_for(row.value(1), 8), p);
-            }
-        }
-    }
-
-    #[test]
-    fn repartition_on_same_key_moves_nothing_second_time() {
-        let d = data(500, 4);
-        let (once, _, _) = d.repartition(0, "k");
-        let (_twice, moved, _) = once.repartition(0, "k");
-        assert_eq!(moved, 0, "already partitioned data should not move");
     }
 
     #[test]
@@ -246,20 +196,5 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn gather_and_all_rows_keep_partition_order() {
-        let d = data(20, 3);
-        let expected: Vec<Tuple> = d.partitions().iter().flatten().cloned().collect();
-        assert_eq!(d.all_rows(), expected);
-        assert_eq!(d.gather().into_rows(), expected);
-        let (r, _, _) = d.repartition(1, "g");
-        let mut before = d.all_rows();
-        let mut after = r.all_rows();
-        before.sort();
-        after.sort();
-        assert_eq!(before, after, "repartitioning only moves rows");
-        assert_eq!(r.partition_key(), Some("g"));
     }
 }

@@ -72,7 +72,7 @@ pub struct GraceContext {
 
 impl GraceContext {
     /// The grace context of a catalog, if its spill configuration carries a
-    /// join budget. Both executors call this once per join and thread the
+    /// join budget. The executor calls this once per join and threads the
     /// context into every partition's kernel.
     pub fn from_catalog(catalog: &Catalog) -> Option<Self> {
         let manager = catalog.spill_manager()?;
@@ -213,8 +213,8 @@ impl GraceTally {
 }
 
 /// Joins one partition, going through the grace path when a context is given:
-/// the single dispatch point shared by the serial and the partition-parallel
-/// executor, for both the hash and the broadcast join.
+/// the single dispatch point of the partition-parallel executor, for both the
+/// hash and the broadcast join.
 pub fn joined_partition(
     probe_rows: &[Tuple],
     build_rows: &[Tuple],

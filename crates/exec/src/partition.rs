@@ -4,11 +4,11 @@
 //! independently on one partition: filter/project a partition's rows, bucket a
 //! partition's rows for a re-partition exchange, build-and-probe one
 //! partition's hash table, probe one partition of a secondary index. The
-//! serial [`crate::Executor`] loops these kernels partition-by-partition; the
-//! partition-parallel executor (`rdo-parallel`) maps the *same* kernels across
-//! a worker pool. Sharing the kernels is what makes the two executors
-//! bit-identical: parallelism only changes *who* runs a partition, never what
-//! the partition computes.
+//! partition-parallel executor (`rdo-parallel`) maps these kernels across a
+//! worker pool, one task per partition. A partition's output depends only on
+//! its own input, which is what makes every worker count bit-identical:
+//! parallelism only changes *who* runs a partition, never what the partition
+//! computes.
 //!
 //! The kernels work directly on [`Tuple`] rows, the one row format of the
 //! engine: base tables and resident intermediates hold rows, spill pages and

@@ -26,6 +26,10 @@ use std::io::{Read, Write};
 /// typical exchange buffer.
 pub const WIRE_PAGE_SIZE: usize = 32 * 1024;
 
+/// Whether the coordinator and the workers LZ-compress the page batches they
+/// send. Readers go by each page's flag byte, so raw pages decode too.
+pub const WIRE_COMPRESS: bool = true;
+
 /// Upper bound on a single frame's payload (corruption guard: a garbled
 /// length prefix fails fast instead of attempting a multi-gigabyte read).
 pub const MAX_FRAME_LEN: u32 = 1 << 30;

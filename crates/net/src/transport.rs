@@ -24,7 +24,7 @@
 //! `distributed_equivalence` suite pins this.
 
 use crate::frame::read_page_batch;
-use crate::frame::{expect_frame, payload, write_frame, write_page_batch, Tag};
+use crate::frame::{expect_frame, payload, write_frame, write_page_batch, Tag, WIRE_COMPRESS};
 use crate::worker::read_bucketed_response;
 use rdo_common::{RdoError, Relation, Result, Tuple};
 use rdo_exec::PartitionedData;
@@ -33,7 +33,6 @@ use rdo_parallel::{
     WorkerPool,
 };
 use rdo_spill::compress::LzScratch;
-use rdo_spill::SpillConfig;
 use std::io::{BufReader, BufWriter, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -110,7 +109,6 @@ impl WorkerConn {
 pub struct TcpTransport {
     addrs: Vec<SocketAddr>,
     conns: Vec<Mutex<WorkerConn>>,
-    compress: bool,
     bytes_sent: Arc<AtomicU64>,
     bytes_received: Arc<AtomicU64>,
 }
@@ -119,7 +117,6 @@ impl std::fmt::Debug for TcpTransport {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("TcpTransport")
             .field("workers", &self.addrs)
-            .field("compress", &self.compress)
             .field("stats", &self.stats())
             .finish()
     }
@@ -127,9 +124,8 @@ impl std::fmt::Debug for TcpTransport {
 
 impl TcpTransport {
     /// Connects to the given worker processes and verifies each one answers
-    /// a liveness ping. Page compression on the wire follows the spill
-    /// store's `RDO_SPILL_COMPRESS` default (the codec reads the flag byte,
-    /// so mixed settings between coordinator and workers still interoperate).
+    /// a liveness ping. Page batches on the wire are compressed
+    /// ([`WIRE_COMPRESS`]).
     pub fn connect(addrs: &[SocketAddr]) -> Result<Self> {
         if addrs.is_empty() {
             return Err(RdoError::Execution(
@@ -160,7 +156,6 @@ impl TcpTransport {
         Ok(Self {
             addrs: addrs.to_vec(),
             conns,
-            compress: SpillConfig::from_env().compress,
             bytes_sent,
             bytes_received,
         })
@@ -293,7 +288,7 @@ impl Transport for TcpTransport {
                     Tag::Page,
                     &[],
                     &data.partitions()[from],
-                    self.compress,
+                    WIRE_COMPRESS,
                     &mut conn.scratch,
                 )?;
                 conn.writer.flush()?;
@@ -350,7 +345,7 @@ impl Transport for TcpTransport {
                 Tag::Page,
                 &[],
                 &rows,
-                self.compress,
+                WIRE_COMPRESS,
                 &mut conn.scratch,
             )?;
             conn.writer.flush()?;
@@ -394,7 +389,7 @@ impl Transport for TcpTransport {
                     Tag::Page,
                     &[],
                     &data.partitions()[p],
-                    self.compress,
+                    WIRE_COMPRESS,
                     &mut conn.scratch,
                 )?;
                 conn.writer.flush()?;

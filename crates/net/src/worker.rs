@@ -15,11 +15,10 @@
 //! coordinator and worker (see `examples/distributed.rs`).
 
 use crate::frame::{decode_page_payload, read_page_batch};
-use crate::frame::{payload, read_frame, write_frame, write_page_batch, Tag};
+use crate::frame::{payload, read_frame, write_frame, write_page_batch, Tag, WIRE_COMPRESS};
 use rdo_common::{RdoError, Result};
 use rdo_exec::partition::repartition_partition;
 use rdo_spill::compress::LzScratch;
-use rdo_spill::SpillConfig;
 use std::io::{BufReader, BufWriter, Write};
 use std::net::{TcpListener, TcpStream};
 
@@ -115,7 +114,6 @@ fn serve_connection(stream: TcpStream) -> Result<Served> {
     stream.set_nodelay(true)?;
     let mut reader = BufReader::new(stream.try_clone()?);
     let mut writer = BufWriter::new(stream);
-    let compress = SpillConfig::from_env().compress;
     let mut scratch = LzScratch::new();
     // Tracing in worker processes follows the same env knobs as the
     // coordinator (the cluster spawner passes the environment through). Each
@@ -173,7 +171,7 @@ fn serve_connection(stream: TcpStream) -> Result<Served> {
                         Tag::Bucket,
                         &to_header,
                         bucket,
-                        compress,
+                        WIRE_COMPRESS,
                         &mut scratch,
                     )?;
                 }
@@ -200,7 +198,14 @@ fn serve_connection(stream: TcpStream) -> Result<Served> {
                 // partition-agnostic.
                 let _partition = payload::u32_at(&header, 0)?;
                 let rows = read_page_batch(&mut reader)?;
-                write_page_batch(&mut writer, Tag::Page, &[], &rows, compress, &mut scratch)?;
+                write_page_batch(
+                    &mut writer,
+                    Tag::Page,
+                    &[],
+                    &rows,
+                    WIRE_COMPRESS,
+                    &mut scratch,
+                )?;
                 writer.flush()?;
             }
             other => {

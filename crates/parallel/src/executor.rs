@@ -1,11 +1,10 @@
-//! The partition-parallel plan executor.
+//! The partition-parallel plan executor, the engine's only executor.
 //!
-//! Executes the same [`PhysicalPlan`]s as the serial [`rdo_exec::Executor`],
-//! but maps the per-partition kernels of [`rdo_exec::partition`] across a
-//! [`WorkerPool`] and moves tuples between partitions through the explicit
-//! exchange operators of [`crate::exchange`]. Results and metrics are
-//! identical to the serial executor for every worker count; see the crate
-//! docs for why.
+//! Executes [`PhysicalPlan`]s by mapping the per-partition kernels of
+//! [`rdo_exec::partition`] across a [`WorkerPool`], one task per partition,
+//! and moves tuples between partitions through the explicit exchange
+//! operators of [`crate::exchange`]. Results and metrics are identical for
+//! every worker count; see the crate docs for why.
 
 use crate::config::ParallelConfig;
 use crate::exchange::{Broadcast, HashRepartition};
@@ -105,34 +104,26 @@ impl<'a> ParallelExecutor<'a> {
         Ok(relation)
     }
 
-    /// Maps a fallible per-partition task over `partitions` partitions,
-    /// claiming `morsel_size` partitions per task, and returns the
-    /// per-partition outputs in partition order. The error of the lowest
-    /// failing partition wins, matching the serial executor's first-error
-    /// behaviour.
+    /// Maps a fallible per-partition task over `partitions` partitions, one
+    /// task per partition, and returns the outputs in partition order. The
+    /// error of the lowest failing partition wins, whichever worker hit it.
     fn map_partitions<T: Send>(
         &self,
         partitions: usize,
         task: impl Fn(usize) -> Result<T> + Sync,
     ) -> Result<Vec<T>> {
-        let morsel = self.config.morsel_size.max(1);
-        let morsels = partitions.div_ceil(morsel);
-        let chunks = self.pool.map_indexed(morsels, |m| {
-            let start = m * morsel;
-            let end = ((m + 1) * morsel).min(partitions);
-            // One span per morsel, not per partition: the morsel count depends
-            // only on (partitions, morsel_size), so the trace shape is the
-            // same for every worker count.
-            let mut span = rdo_trace::span("pool.morsel");
-            span.attr_u64("morsel", m as u64);
-            span.attr_u64("partitions", (end - start) as u64);
-            (start..end).map(&task).collect::<Vec<Result<T>>>()
-        });
-        let mut out = Vec::with_capacity(partitions);
-        for result in chunks.into_iter().flatten() {
-            out.push(result?);
-        }
-        Ok(out)
+        self.pool
+            .map_indexed(partitions, |p| {
+                // One span per partition task: the trace shape depends only
+                // on the partition count, so it is the same for every worker
+                // count.
+                let mut span = rdo_trace::span("pool.morsel");
+                span.attr_u64("morsel", p as u64);
+                span.attr_u64("partitions", 1);
+                task(p)
+            })
+            .into_iter()
+            .collect()
     }
 
     fn execute_scan(
@@ -445,9 +436,12 @@ impl<'a> ParallelExecutor<'a> {
 mod tests {
     use super::*;
     use rdo_common::{DataType, Relation, Schema, Value};
-    use rdo_exec::{CmpOp, Executor};
+    use rdo_exec::CmpOp;
     use rdo_storage::IngestOptions;
 
+    /// Builds a small catalog with `orders(o_orderkey, o_custkey)` and
+    /// `customer(c_custkey, c_name)`, plus a secondary index on
+    /// `orders.o_custkey`.
     fn catalog() -> Catalog {
         let mut cat = Catalog::new(4);
         let orders_schema = Schema::for_dataset(
@@ -483,50 +477,329 @@ mod tests {
         cat
     }
 
+    /// The 1-worker executor: every task runs inline on the calling thread.
+    fn serial(cat: &Catalog) -> ParallelExecutor<'_> {
+        ParallelExecutor::new(cat, ParallelConfig::serial())
+    }
+
+    fn join_plan(algorithm: JoinAlgorithm) -> PhysicalPlan {
+        PhysicalPlan::join(
+            PhysicalPlan::scan("orders"),
+            PhysicalPlan::scan("customer"),
+            FieldRef::new("orders", "o_custkey"),
+            FieldRef::new("customer", "c_custkey"),
+            algorithm,
+        )
+    }
+
     fn plans() -> Vec<PhysicalPlan> {
-        let join = |algorithm| {
-            PhysicalPlan::join(
-                PhysicalPlan::scan("orders"),
-                PhysicalPlan::scan("customer"),
-                FieldRef::new("orders", "o_custkey"),
-                FieldRef::new("customer", "c_custkey"),
-                algorithm,
-            )
-        };
         vec![
             PhysicalPlan::scan("orders").with_predicates(vec![Predicate::compare(
                 FieldRef::new("orders", "o_custkey"),
                 CmpOp::Lt,
                 7i64,
             )]),
-            join(JoinAlgorithm::Hash),
-            join(JoinAlgorithm::Broadcast),
-            join(JoinAlgorithm::IndexedNestedLoop),
+            join_plan(JoinAlgorithm::Hash),
+            join_plan(JoinAlgorithm::Broadcast),
+            join_plan(JoinAlgorithm::IndexedNestedLoop),
         ]
     }
 
-    /// The core guarantee: identical partitions, partition keys and metrics to
-    /// the serial executor, for every worker count and morsel size.
+    #[test]
+    fn scan_with_filter_and_projection() {
+        let cat = catalog();
+        let exec = serial(&cat);
+        let mut m = ExecutionMetrics::new();
+        let plan = PhysicalPlan::scan("orders")
+            .with_predicates(vec![Predicate::compare(
+                FieldRef::new("orders", "o_custkey"),
+                CmpOp::Eq,
+                3i64,
+            )])
+            .with_projection(vec![FieldRef::new("orders", "o_orderkey")]);
+        let rel = exec.execute_to_relation(&plan, &mut m).unwrap();
+        assert_eq!(rel.len(), 10, "200 orders / 20 customers = 10 per customer");
+        assert_eq!(rel.schema().len(), 1);
+        assert_eq!(m.rows_scanned, 200);
+        assert_eq!(m.output_rows, 10);
+        assert_eq!(m.result_rows, 10);
+    }
+
+    #[test]
+    fn all_join_algorithms_agree() {
+        let cat = catalog();
+        let exec = serial(&cat);
+        let mut results = Vec::new();
+        for algorithm in [
+            JoinAlgorithm::Hash,
+            JoinAlgorithm::Broadcast,
+            JoinAlgorithm::IndexedNestedLoop,
+        ] {
+            let mut m = ExecutionMetrics::new();
+            let plan = join_plan(algorithm);
+            let rel = exec.execute_to_relation(&plan, &mut m).unwrap();
+            assert_eq!(rel.len(), 200, "every order matches exactly one customer");
+            let mut rows = rel.into_rows();
+            rows.sort();
+            results.push(rows);
+        }
+        // Hash and broadcast produce (orders, customer) column order; INL as well.
+        assert_eq!(results[0], results[1]);
+        assert_eq!(results[1], results[2]);
+    }
+
+    #[test]
+    fn hash_join_charges_shuffle_only_when_needed() {
+        let cat = catalog();
+        let exec = serial(&cat);
+        // orders is partitioned on o_orderkey; joining on o_custkey must shuffle
+        // the orders side. customer is partitioned on c_custkey already.
+        let mut m = ExecutionMetrics::new();
+        exec.execute(&join_plan(JoinAlgorithm::Hash), &mut m)
+            .unwrap();
+        assert!(m.rows_shuffled > 0);
+        assert!(
+            m.rows_shuffled <= 200,
+            "only the orders side should shuffle"
+        );
+
+        // Joining orders to customer on the orders primary key needs no shuffle
+        // for the orders side.
+        let plan = PhysicalPlan::join(
+            PhysicalPlan::scan("orders"),
+            PhysicalPlan::scan("customer"),
+            FieldRef::new("orders", "o_orderkey"),
+            FieldRef::new("customer", "c_custkey"),
+            JoinAlgorithm::Hash,
+        );
+        let mut m2 = ExecutionMetrics::new();
+        exec.execute(&plan, &mut m2).unwrap();
+        assert!(
+            m2.rows_shuffled <= 20,
+            "only the small customer side may move"
+        );
+    }
+
+    #[test]
+    fn broadcast_join_charges_replication() {
+        let cat = catalog();
+        let exec = serial(&cat);
+        let mut m = ExecutionMetrics::new();
+        exec.execute(&join_plan(JoinAlgorithm::Broadcast), &mut m)
+            .unwrap();
+        assert_eq!(
+            m.rows_broadcast,
+            20 * 4,
+            "20 customers replicated to 4 partitions"
+        );
+        assert_eq!(m.rows_shuffled, 0);
+    }
+
+    #[test]
+    fn inl_join_uses_index_not_scan() {
+        let cat = catalog();
+        let exec = serial(&cat);
+        let mut m = ExecutionMetrics::new();
+        let rel = exec
+            .execute_to_relation(&join_plan(JoinAlgorithm::IndexedNestedLoop), &mut m)
+            .unwrap();
+        assert_eq!(rel.len(), 200);
+        // The orders table itself is never scanned.
+        assert_eq!(
+            m.rows_scanned, 20,
+            "only the customer build side is scanned"
+        );
+        assert_eq!(m.index_lookups, 20 * 4);
+        assert_eq!(m.index_fetched_rows, 200);
+    }
+
+    #[test]
+    fn inl_join_requires_index() {
+        let cat = catalog();
+        let exec = serial(&cat);
+        // The indexed side is customer, whose join column c_name has no
+        // secondary index.
+        let plan = PhysicalPlan::join(
+            PhysicalPlan::scan("customer"),
+            PhysicalPlan::scan("orders"),
+            FieldRef::new("customer", "c_name"),
+            FieldRef::new("orders", "o_custkey"),
+            JoinAlgorithm::IndexedNestedLoop,
+        );
+        let mut m = ExecutionMetrics::new();
+        assert!(exec.execute(&plan, &mut m).is_err());
+    }
+
+    #[test]
+    fn inl_join_requires_scan_input() {
+        let cat = catalog();
+        let exec = serial(&cat);
+        let inner = join_plan(JoinAlgorithm::Hash);
+        let plan = PhysicalPlan::join(
+            inner,
+            PhysicalPlan::scan("customer"),
+            FieldRef::new("orders", "o_custkey"),
+            FieldRef::new("customer", "c_custkey"),
+            JoinAlgorithm::IndexedNestedLoop,
+        );
+        let mut m = ExecutionMetrics::new();
+        assert!(exec.execute(&plan, &mut m).is_err());
+    }
+
+    #[test]
+    fn join_with_local_predicate_on_build_side() {
+        let cat = catalog();
+        let exec = serial(&cat);
+        let filtered_customer =
+            PhysicalPlan::scan("customer").with_predicates(vec![Predicate::compare(
+                FieldRef::new("customer", "c_custkey"),
+                CmpOp::Lt,
+                5i64,
+            )]);
+        let plan = PhysicalPlan::join(
+            PhysicalPlan::scan("orders"),
+            filtered_customer,
+            FieldRef::new("orders", "o_custkey"),
+            FieldRef::new("customer", "c_custkey"),
+            JoinAlgorithm::Broadcast,
+        );
+        let mut m = ExecutionMetrics::new();
+        let rel = exec.execute_to_relation(&plan, &mut m).unwrap();
+        assert_eq!(rel.len(), 50, "5 customers × 10 orders each");
+    }
+
+    #[test]
+    fn aliased_scan_joins() {
+        let cat = catalog();
+        let exec = serial(&cat);
+        let plan = PhysicalPlan::join(
+            PhysicalPlan::scan("orders"),
+            PhysicalPlan::scan_aliased("c2", "customer"),
+            FieldRef::new("orders", "o_custkey"),
+            FieldRef::new("c2", "c_custkey"),
+            JoinAlgorithm::Hash,
+        );
+        let mut m = ExecutionMetrics::new();
+        let rel = exec.execute_to_relation(&plan, &mut m).unwrap();
+        assert_eq!(rel.len(), 200);
+        assert!(rel.schema().fields().iter().any(|f| f.name.dataset == "c2"));
+    }
+
+    #[test]
+    fn join_budget_runs_grace_join_with_identical_results() {
+        let reference = {
+            let cat = catalog();
+            let mut m = ExecutionMetrics::new();
+            let rel = serial(&cat)
+                .execute_to_relation(&join_plan(JoinAlgorithm::Hash), &mut m)
+                .unwrap();
+            (rel, m)
+        };
+        let mut cat = catalog();
+        // A 1-byte join budget forces every partition's build side out of core.
+        cat.configure_spill(
+            rdo_storage::SpillConfig::default()
+                .with_join_budget(1)
+                .with_page_size(512),
+        )
+        .unwrap();
+        let exec = serial(&cat);
+        for algorithm in [JoinAlgorithm::Hash, JoinAlgorithm::Broadcast] {
+            let mut m = ExecutionMetrics::new();
+            let rel = exec
+                .execute_to_relation(&join_plan(algorithm), &mut m)
+                .unwrap();
+            assert!(
+                m.grace_bytes_written > 0
+                    && m.grace_pages_read > 0
+                    && m.grace_partitions_spilled > 0,
+                "{algorithm:?} must go out-of-core: {m:?}"
+            );
+            if algorithm == JoinAlgorithm::Hash {
+                assert_eq!(rel, reference.0, "bit-identical to the in-memory join");
+                assert_eq!(m.build_rows, reference.1.build_rows);
+                assert_eq!(m.probe_rows, reference.1.probe_rows);
+                assert_eq!(m.output_rows, reference.1.output_rows);
+                assert_eq!(m.rows_shuffled, reference.1.rows_shuffled);
+            }
+        }
+        // Every grace partition file was dropped with its join.
+        let dir = cat.spill_dir().expect("join budget configured");
+        assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 0);
+    }
+
+    /// A join whose input is a spilled intermediate (streamed page by page
+    /// into the scan kernel) produces the partitions and logical counters of
+    /// the same join over the resident intermediate.
+    #[test]
+    fn joins_over_spilled_intermediates_match_resident_ones() {
+        use rdo_storage::SpillConfig;
+        let mut cat = catalog();
+        let orders = cat.table("orders").unwrap().gather();
+        cat.register_intermediate("resident", orders.clone(), Some("o_orderkey"), &[], false)
+            .unwrap();
+        cat.configure_spill(SpillConfig::default().with_budget(1).with_page_size(512))
+            .unwrap();
+        cat.register_intermediate("spilled", orders, Some("o_orderkey"), &[], false)
+            .unwrap();
+        assert!(cat.table("spilled").unwrap().is_spilled());
+        let plan = |table: &str| {
+            PhysicalPlan::join(
+                PhysicalPlan::scan_aliased("orders", table).with_predicates(vec![
+                    Predicate::compare(FieldRef::new("orders", "o_custkey"), CmpOp::Ne, 3i64),
+                ]),
+                PhysicalPlan::scan("customer"),
+                FieldRef::new("orders", "o_custkey"),
+                FieldRef::new("customer", "c_custkey"),
+                JoinAlgorithm::Hash,
+            )
+        };
+        let exec = serial(&cat);
+        let (mut resident_metrics, mut spilled_metrics) =
+            (ExecutionMetrics::new(), ExecutionMetrics::new());
+        let resident = exec
+            .execute(&plan("resident"), &mut resident_metrics)
+            .unwrap();
+        let spilled = exec
+            .execute(&plan("spilled"), &mut spilled_metrics)
+            .unwrap();
+        assert_eq!(spilled.partitions(), resident.partitions());
+        assert_eq!(resident.row_count(), 190);
+        assert!(spilled_metrics.spill_pages_read > 1);
+        assert_eq!(resident_metrics.spill_pages_read, 0);
+        // Clearing the spill-read counters leaves identical metrics.
+        spilled_metrics.spill_pages_read = 0;
+        spilled_metrics.spill_bytes_read = 0;
+        spilled_metrics.spill_logical_bytes_read = 0;
+        assert_eq!(spilled_metrics, resident_metrics);
+    }
+
+    #[test]
+    fn unknown_dataset_errors() {
+        let cat = catalog();
+        let mut m = ExecutionMetrics::new();
+        assert!(serial(&cat)
+            .execute(&PhysicalPlan::scan("missing"), &mut m)
+            .is_err());
+    }
+
+    /// The core guarantee: identical partitions, partition keys and metrics
+    /// to the 1-worker run, for every worker count.
     #[test]
     fn matches_serial_executor_exactly() {
         let cat = catalog();
-        let serial = Executor::new(&cat);
         for plan in plans() {
             let mut serial_metrics = ExecutionMetrics::new();
-            let expected = serial.execute(&plan, &mut serial_metrics).unwrap();
-            for workers in [1, 2, 4, 8] {
-                for morsel_size in [1, 3] {
-                    let config = ParallelConfig::serial()
-                        .with_workers(workers)
-                        .with_morsel_size(morsel_size);
-                    let parallel = ParallelExecutor::new(&cat, config);
-                    let mut metrics = ExecutionMetrics::new();
-                    let data = parallel.execute(&plan, &mut metrics).unwrap();
-                    assert_eq!(data.partitions(), expected.partitions());
-                    assert_eq!(data.partition_key(), expected.partition_key());
-                    assert_eq!(data.base_table(), expected.base_table());
-                    assert_eq!(metrics, serial_metrics, "workers={workers}");
-                }
+            let expected = serial(&cat).execute(&plan, &mut serial_metrics).unwrap();
+            for workers in [2, 4, 8] {
+                let config = ParallelConfig::serial().with_workers(workers);
+                let parallel = ParallelExecutor::new(&cat, config);
+                let mut metrics = ExecutionMetrics::new();
+                let data = parallel.execute(&plan, &mut metrics).unwrap();
+                assert_eq!(data.partitions(), expected.partitions());
+                assert_eq!(data.partition_key(), expected.partition_key());
+                assert_eq!(data.base_table(), expected.base_table());
+                assert_eq!(metrics, serial_metrics, "workers={workers}");
             }
         }
     }
@@ -534,12 +807,11 @@ mod tests {
     #[test]
     fn gathered_relation_and_result_rows_match_serial() {
         let cat = catalog();
-        let serial = Executor::new(&cat);
         let parallel = ParallelExecutor::new(&cat, ParallelConfig::serial().with_workers(4));
         for plan in plans() {
             let mut sm = ExecutionMetrics::new();
             let mut pm = ExecutionMetrics::new();
-            let expected = serial.execute_to_relation(&plan, &mut sm).unwrap();
+            let expected = serial(&cat).execute_to_relation(&plan, &mut sm).unwrap();
             let actual = parallel.execute_to_relation(&plan, &mut pm).unwrap();
             assert_eq!(actual, expected);
             assert_eq!(pm, sm);
@@ -548,8 +820,8 @@ mod tests {
 
     /// The grace path is worker-count invariant too: with a tiny join budget
     /// every partition's build side spills, and results, partitions and every
-    /// metric counter (including the grace counters) still match the serial
-    /// executor exactly.
+    /// metric counter (including the grace counters) still match the 1-worker
+    /// run exactly.
     #[test]
     fn grace_join_matches_serial_executor_exactly() {
         let mut cat = catalog();
@@ -559,11 +831,10 @@ mod tests {
                 .with_page_size(512),
         )
         .unwrap();
-        let serial = Executor::new(&cat);
         for plan in plans() {
             let mut serial_metrics = ExecutionMetrics::new();
-            let expected = serial.execute(&plan, &mut serial_metrics).unwrap();
-            for workers in [1, 2, 4, 8] {
+            let expected = serial(&cat).execute(&plan, &mut serial_metrics).unwrap();
+            for workers in [2, 4, 8] {
                 let config = ParallelConfig::serial().with_workers(workers);
                 let parallel = ParallelExecutor::new(&cat, config);
                 let mut metrics = ExecutionMetrics::new();
@@ -623,29 +894,23 @@ mod tests {
     }
 
     /// Spilled partitions reach the scan kernel page by page; every worker
-    /// count and morsel size still matches the serial executor exactly, page
-    /// reads included.
+    /// count still matches the 1-worker run exactly, page reads included.
     #[test]
     fn page_by_page_scans_of_spilled_intermediates_match_serial() {
         let cat = catalog_with_spilled_intermediate();
-        let serial = Executor::new(&cat);
         for plan in intermediate_plans("big_orders") {
             let mut serial_metrics = ExecutionMetrics::new();
-            let expected = serial.execute(&plan, &mut serial_metrics).unwrap();
+            let expected = serial(&cat).execute(&plan, &mut serial_metrics).unwrap();
             assert!(serial_metrics.spill_pages_read > 4);
-            for workers in [1, 2, 4] {
-                for morsel_size in [1, 3] {
-                    let config = ParallelConfig::serial()
-                        .with_workers(workers)
-                        .with_morsel_size(morsel_size);
-                    let mut metrics = ExecutionMetrics::new();
-                    let data = ParallelExecutor::new(&cat, config)
-                        .execute(&plan, &mut metrics)
-                        .unwrap();
-                    assert_eq!(data.partitions(), expected.partitions());
-                    assert_eq!(data.partition_key(), expected.partition_key());
-                    assert_eq!(metrics, serial_metrics, "workers={workers}");
-                }
+            for workers in [2, 4] {
+                let config = ParallelConfig::serial().with_workers(workers);
+                let mut metrics = ExecutionMetrics::new();
+                let data = ParallelExecutor::new(&cat, config)
+                    .execute(&plan, &mut metrics)
+                    .unwrap();
+                assert_eq!(data.partitions(), expected.partitions());
+                assert_eq!(data.partition_key(), expected.partition_key());
+                assert_eq!(metrics, serial_metrics, "workers={workers}");
             }
         }
     }
@@ -696,5 +961,51 @@ mod tests {
             JoinAlgorithm::Hash,
         );
         assert!(parallel.execute(&bad_join, &mut metrics).is_err());
+    }
+
+    /// Every partition task records one `pool.morsel` span covering exactly
+    /// one partition, so the trace shape is the same at every worker count.
+    #[test]
+    fn one_pool_morsel_span_per_partition_at_every_worker_count() {
+        let cat = catalog();
+        let morsels = |workers: usize| {
+            let trace = rdo_trace::TraceHandle::enabled();
+            {
+                let _installed = trace.install();
+                let config = ParallelConfig::serial().with_workers(workers);
+                ParallelExecutor::new(&cat, config)
+                    .execute(
+                        &join_plan(JoinAlgorithm::Hash),
+                        &mut ExecutionMetrics::new(),
+                    )
+                    .unwrap();
+            }
+            let mut indexes: Vec<u64> = trace
+                .spans()
+                .iter()
+                .filter(|s| s.name == "pool.morsel")
+                .map(|s| {
+                    let attr = |key: &str| {
+                        s.attrs
+                            .iter()
+                            .find(|(k, _)| k == key)
+                            .map(|(_, v)| v.clone())
+                    };
+                    assert_eq!(attr("partitions"), Some(rdo_trace::AttrValue::U64(1)));
+                    match attr("morsel") {
+                        Some(rdo_trace::AttrValue::U64(p)) => p,
+                        other => panic!("morsel attr missing: {other:?}"),
+                    }
+                })
+                .collect();
+            indexes.sort_unstable();
+            indexes
+        };
+        let expected = morsels(1);
+        // Two scans and one join over 4 partitions.
+        assert_eq!(expected, vec![0, 0, 0, 1, 1, 1, 2, 2, 2, 3, 3, 3]);
+        for workers in [2, 4] {
+            assert_eq!(morsels(workers), expected, "workers={workers}");
+        }
     }
 }

@@ -2,12 +2,10 @@
 //!
 //! The storage layer models the cluster's data partitions faithfully
 //! ([`rdo_storage::Catalog`] holds every table hash-partitioned across
-//! `num_partitions` partitions), but the serial [`rdo_exec::Executor`] walks
-//! those partitions one after another on a single thread. This crate executes
-//! the *same* physical plans with one task per partition on a pool of scoped
-//! worker threads, exchanging tuples between partitions through explicit
-//! exchange operators — the role Hyracks' connectors play in the paper's
-//! architecture.
+//! `num_partitions` partitions). This crate holds the engine's one executor:
+//! it runs physical plans with one task per partition on a pool of worker
+//! threads, exchanging tuples between partitions through explicit exchange
+//! operators — the role Hyracks' connectors play in the paper's architecture.
 //!
 //! # Architecture
 //!
@@ -33,16 +31,14 @@
 //!   condvar-guarded dispatch slot, so per-stage spawn/join cost is gone;
 //!   workers pull partition indexes from a shared atomic counter and run the
 //!   per-partition kernels of [`rdo_exec::partition`]. With `workers = 1` the
-//!   tasks run in a plain loop on the calling thread, which makes the
-//!   single-worker configuration *bit-identical* to the serial executor by
-//!   construction: both run the same kernels over the same partitions in the
-//!   same order.
+//!   pool spawns no thread and the tasks run in a plain loop on the calling
+//!   thread; every other worker count runs the same kernels over the same
+//!   partitions and folds their outputs in the same order.
 //! * **Exchange operators** — [`exchange::HashRepartition`] re-shuffles tuples
 //!   to the partition their key hashes to, [`exchange::Broadcast`] replicates
 //!   a (small) build side to every partition, [`exchange::Gather`] collects
-//!   partitions on the coordinator for result delivery. The serial executor
-//!   performs these data movements implicitly inside its join loops; here they
-//!   are explicit, metered operators.
+//!   partitions on the coordinator for result delivery. Each is an explicit,
+//!   metered operator.
 //! * **Deterministic merging** — every task returns per-partition
 //!   [`rdo_exec::ExecutionMetrics`] partials folded in partition order with
 //!   [`rdo_exec::ExecutionMetrics::merge`] (associative and commutative), and
@@ -68,12 +64,12 @@
 //!
 //! # Example
 //!
-//! Execute a tiny join plan partition-parallel and check it against the
-//! serial executor:
+//! Execute a tiny join plan on four workers and check it against the
+//! single-worker run:
 //!
 //! ```
 //! use rdo_common::{DataType, FieldRef, Relation, Schema, Tuple, Value};
-//! use rdo_exec::{ExecutionMetrics, Executor, JoinAlgorithm, PhysicalPlan};
+//! use rdo_exec::{ExecutionMetrics, JoinAlgorithm, PhysicalPlan};
 //! use rdo_parallel::{ParallelConfig, ParallelExecutor};
 //! use rdo_storage::{Catalog, IngestOptions};
 //!
@@ -94,9 +90,10 @@
 //! );
 //!
 //! let mut serial_metrics = ExecutionMetrics::new();
-//! let expected = Executor::new(&catalog)
+//! let expected = ParallelExecutor::new(&catalog, ParallelConfig::serial())
 //!     .execute_to_relation(&plan, &mut serial_metrics)
 //!     .unwrap();
+//! assert_eq!(expected.len(), 60, "every order matches one customer");
 //!
 //! let executor = ParallelExecutor::new(&catalog, ParallelConfig::serial().with_workers(4));
 //! let mut metrics = ExecutionMetrics::new();
@@ -122,5 +119,5 @@ pub use config::{
 pub use exchange::{Broadcast, Gather, HashRepartition};
 pub use executor::ParallelExecutor;
 pub use pool::WorkerPool;
-pub use sink::materialize;
+pub use sink::{materialize, MaterializeOutcome};
 pub use transport::{default_transport, InProcessTransport, Transport};

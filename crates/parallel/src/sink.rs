@@ -1,4 +1,11 @@
-//! The parallel Sink: the barrier at each re-optimization point.
+//! The Sink: the barrier at each re-optimization point.
+//!
+//! In the paper's Figure 4, every phase of the decomposed query ends in a
+//! `Sink` operator that writes the intermediate data to a temporary file while
+//! gathering statistical sketches; later phases read it back through a
+//! `Reader` operator. Here the temporary file is a temporary
+//! [`rdo_storage::Table`] and the Reader is an ordinary scan of it (which the
+//! executor charges at intermediate-read rates).
 //!
 //! Algorithm 1 materializes the chosen join's result before re-planning; that
 //! materialization is a natural barrier for the worker pool. Each worker
@@ -8,34 +15,62 @@
 //! per-partition Sink operators whose local statistics are combined when the
 //! job finishes. The fixed merge order makes the registered statistics
 //! identical for every worker count.
-//!
-//! Note the statistics semantics differ slightly from the serial
-//! [`rdo_exec::materialize`], which observes the *gathered* relation row by
-//! row on the coordinator: HyperLogLog merging is exact, but a GK sketch
-//! merged from per-partition partials is a different (equally valid,
-//! error-bounded) summary than one built sequentially. Both satisfy the same
-//! accuracy guarantees; the dynamic driver uses this parallel Sink in all
-//! configurations so its planning decisions never depend on the worker count.
 
 use crate::exchange::Gather;
 use crate::pool::WorkerPool;
-use rdo_common::Result;
-use rdo_exec::{ExecutionMetrics, MaterializeOutcome, PartitionedData};
+use rdo_common::{Result, Schema};
+use rdo_exec::{ExecutionMetrics, PartitionedData};
 use rdo_sketch::DatasetStatsBuilder;
 use rdo_storage::Catalog;
+
+/// What a materialization produced.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct MaterializeOutcome {
+    /// Name of the temporary table created.
+    pub table: String,
+    /// Number of rows materialized.
+    pub rows: u64,
+    /// Approximate bytes written.
+    pub bytes: u64,
+    /// Number of individual values observed by online statistics collection
+    /// (zero when statistics collection was disabled for this sink).
+    pub stats_values: u64,
+    /// True if the catalog's spill policy sent the table to the paged disk
+    /// store instead of keeping it memory-resident.
+    pub spilled: bool,
+}
+
+/// Counts how many of `tracked_columns` actually exist in `schema` (matched
+/// unqualified or fully qualified) — the per-row statistics work the Sink
+/// charges to the cost model.
+fn tracked_columns_present(schema: &Schema, tracked_columns: &[String]) -> u64 {
+    tracked_columns
+        .iter()
+        .filter(|c| {
+            let unqualified = rdo_common::unqualified(c);
+            schema
+                .fields()
+                .iter()
+                .any(|f| f.name.field == unqualified || f.name.qualified() == **c)
+        })
+        .count() as u64
+}
 
 /// Materializes `data` into the catalog as temporary table `name`,
 /// hash-partitioned on `partition_key`, collecting online statistics on
 /// `tracked_columns` (when `collect_stats` is true) from per-partition
-/// partials merged at the barrier. Sketch building runs on the caller's
-/// persistent `pool` (one pool per driver execution, shared by every stage).
+/// partials merged at the barrier. The paper disables online statistics for
+/// the final iteration ("the online statistics framework is enabled in all
+/// the iterations except for the last one"), which callers express through
+/// `collect_stats`. Sketch building runs on the caller's persistent `pool`
+/// (one pool per driver execution, shared by every stage).
 ///
 /// When `data` is already hash-partitioned on `partition_key` with the
 /// cluster's partition count, its layout is registered verbatim — re-hashing
 /// the gathered relation on the coordinator would reproduce exactly the same
-/// assignment, so the serial rebuild is skipped. The catalog's spill policy
-/// then decides whether the table stays resident or goes to the paged disk
-/// store; logical page writes land in the `spill_*` metrics.
+/// assignment, so that rebuild is skipped. The catalog's spill policy then
+/// decides whether the table stays resident or goes to the paged disk store;
+/// logical page writes land in the `spill_*` metrics.
 #[allow(clippy::too_many_arguments)]
 pub fn materialize(
     pool: &WorkerPool,
@@ -54,10 +89,10 @@ pub fn materialize(
     span.attr_u64("rows", rows);
     span.attr_u64("bytes", bytes);
 
-    // Statistics cost accounting, shared with the serial Sink: one
-    // observation per tracked column actually present in the schema, per row.
+    // Statistics cost accounting: one observation per tracked column actually
+    // present in the schema, per row.
     let stats_values = if collect_stats {
-        rdo_exec::sink::tracked_columns_present(data.schema(), tracked_columns) * rows
+        tracked_columns_present(data.schema(), tracked_columns) * rows
     } else {
         0
     };
@@ -313,5 +348,123 @@ mod tests {
         assert_eq!(outcome.stats_values, 0);
         assert_eq!(cat.stats().row_count("I_last"), Some(100));
         assert!(cat.stats().get("I_last").unwrap().columns.is_empty());
+    }
+
+    #[test]
+    fn materialize_and_read_back() {
+        let mut cat = catalog();
+        let (data, mut m) = scan(&cat, 1);
+        let outcome = materialize(
+            &WorkerPool::new(1),
+            &mut cat,
+            "I_1",
+            &data,
+            Some("o_custkey"),
+            &["o_custkey".to_string()],
+            true,
+            &mut m,
+        )
+        .unwrap();
+        assert_eq!(outcome.rows, 100);
+        assert_eq!(outcome.stats_values, 100);
+        assert!(outcome.bytes > 0);
+        assert_eq!(m.rows_materialized, 100);
+        assert_eq!(m.stats_values_observed, 100);
+
+        // Reading the intermediate back charges intermediate-read metrics, not
+        // base-scan metrics.
+        let mut m2 = ExecutionMetrics::new();
+        let exec = ParallelExecutor::new(&cat, ParallelConfig::serial());
+        let rel = exec
+            .execute_to_relation(&PhysicalPlan::scan("I_1"), &mut m2)
+            .unwrap();
+        assert_eq!(rel.len(), 100);
+        assert_eq!(m2.rows_intermediate_read, 100);
+        assert_eq!(m2.rows_scanned, 0);
+
+        // Online statistics for the tracked column are available.
+        let stats = cat.stats().get("I_1").unwrap();
+        assert_eq!(stats.row_count, 100);
+        assert!(stats.column("o_custkey").is_some());
+        assert!(stats.column("o_orderkey").is_none());
+    }
+
+    #[test]
+    fn materialize_spills_under_budget_and_scans_charge_spill_reads() {
+        use rdo_storage::SpillConfig;
+        let mut cat = catalog();
+        cat.configure_spill(SpillConfig::default().with_budget(1).with_page_size(512))
+            .unwrap();
+        let (data, mut m) = scan(&cat, 1);
+        let outcome = materialize(
+            &WorkerPool::new(1),
+            &mut cat,
+            "I_spill",
+            &data,
+            Some("o_custkey"),
+            &["o_custkey".to_string()],
+            true,
+            &mut m,
+        )
+        .unwrap();
+        assert!(outcome.spilled, "1-byte budget forces the disk store");
+        assert!(m.spill_pages_written > 0 && m.spill_bytes_written > 0);
+        assert!(cat.table("I_spill").unwrap().is_spilled());
+
+        // Reading the spilled intermediate charges the same logical
+        // intermediate-read metrics as the memory path, plus page reads.
+        let mut m2 = ExecutionMetrics::new();
+        let exec = ParallelExecutor::new(&cat, ParallelConfig::serial());
+        let rel = exec
+            .execute_to_relation(&PhysicalPlan::scan("I_spill"), &mut m2)
+            .unwrap();
+        assert_eq!(rel.len(), 100);
+        assert_eq!(m2.rows_intermediate_read, 100);
+        assert_eq!(m2.spill_pages_read, m.spill_pages_written);
+        assert_eq!(m2.spill_bytes_read, m.spill_bytes_written);
+
+        // Statistics were collected before spilling, exactly as in memory.
+        let stats = cat.stats().get("I_spill").unwrap();
+        assert_eq!(stats.row_count, 100);
+        assert!(stats.column("o_custkey").is_some());
+    }
+
+    #[test]
+    fn tracked_columns_missing_from_schema_are_ignored() {
+        let mut cat = catalog();
+        let (data, mut m) = scan(&cat, 1);
+        let outcome = materialize(
+            &WorkerPool::new(1),
+            &mut cat,
+            "I_2",
+            &data,
+            None,
+            &["not_a_column".to_string(), "o_custkey".to_string()],
+            true,
+            &mut m,
+        )
+        .unwrap();
+        assert_eq!(
+            outcome.stats_values, 100,
+            "only the real column is observed"
+        );
+    }
+
+    #[test]
+    fn tracked_columns_match_unqualified_and_qualified_names() {
+        let cat = catalog();
+        let schema = cat.table("orders").unwrap().schema().clone();
+        let tracked = |names: &[&str]| {
+            let names: Vec<String> = names.iter().map(|n| n.to_string()).collect();
+            tracked_columns_present(&schema, &names)
+        };
+        assert_eq!(tracked(&["o_custkey", "orders.o_orderkey"]), 2);
+        assert_eq!(
+            tracked(&["lineitem.o_custkey"]),
+            1,
+            "the field name matches"
+        );
+        assert_eq!(tracked(&["o_comment", "orders.o_comment"]), 0);
+        assert_eq!(tracked(&[]), 0);
     }
 }

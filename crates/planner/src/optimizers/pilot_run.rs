@@ -244,7 +244,8 @@ mod tests {
     use super::*;
     use crate::query::DatasetRef;
     use rdo_common::{DataType, FieldRef, Relation, Schema, Tuple};
-    use rdo_exec::{CmpOp, Executor, Predicate};
+    use rdo_exec::{CmpOp, Predicate};
+    use rdo_parallel::{ParallelConfig, ParallelExecutor};
     use rdo_storage::IngestOptions;
 
     /// fact has 20_000 rows with 10_000 distinct foreign keys — a bounded sample
@@ -292,7 +293,7 @@ mod tests {
         let (plan, overhead) = opt.plan_with_overhead(&spec(), &cat, cat.stats()).unwrap();
         assert!(overhead.rows_scanned > 0, "pilot runs scan sample rows");
         assert!(overhead.rows_scanned <= 2 * 1_000_u64 + 8);
-        let exec = Executor::new(&cat);
+        let exec = ParallelExecutor::new(&cat, ParallelConfig::serial());
         let mut m = ExecutionMetrics::new();
         let rel = exec.execute_to_relation(&plan, &mut m).unwrap();
         assert_eq!(

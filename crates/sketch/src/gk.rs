@@ -71,31 +71,42 @@ impl GkSketch {
         }
         let mut buf = std::mem::take(&mut self.buffer);
         buf.sort_by(|a, b| a.total_cmp(b));
+        // The buffer is sorted: no entry before the previous value's
+        // insertion point is >= that value, so none is >= this one either,
+        // and the scan resumes there instead of at 0. A NaN compares false
+        // with every entry and lands at the end, so it leaves the resume
+        // point where it was.
+        let mut from = 0;
         for v in buf {
-            self.insert_sorted(v);
+            let pos = self.insert_sorted(v, from);
+            if !v.is_nan() {
+                from = pos;
+            }
         }
         self.compress();
     }
 
-    fn insert_sorted(&mut self, value: f64) {
+    /// Inserts `value` before the first entry at index `from` or later whose
+    /// value is `>= value` (at the end when there is none) and returns the
+    /// index it landed at. No entry before `from` may be `>= value`.
+    fn insert_sorted(&mut self, value: f64, from: usize) -> usize {
         self.count += 1;
         let delta = if self.entries.is_empty() {
             0
         } else {
             (2.0 * self.epsilon * self.count as f64).floor() as u64
         };
-        // Find insertion point: first entry with value >= new value.
-        let pos = self
-            .entries
+        let pos = self.entries[from..]
             .iter()
             .position(|e| e.value >= value)
-            .unwrap_or(self.entries.len());
+            .map_or(self.entries.len(), |i| from + i);
         let delta = if pos == 0 || pos == self.entries.len() {
             0
         } else {
             delta.saturating_sub(1)
         };
         self.entries.insert(pos, GkEntry { value, g: 1, delta });
+        pos
     }
 
     fn compress(&mut self) {
@@ -190,6 +201,51 @@ mod tests {
         let mut s = GkSketch::new(eps);
         s.extend(values);
         s
+    }
+
+    /// Flushing resumes each insertion scan at the previous insertion point;
+    /// the summary must equal the one from scanning every value from index 0,
+    /// entry for entry, NaNs of both signs, signed zeros and repeats included.
+    #[test]
+    fn flush_matches_inserting_each_value_from_the_front() {
+        let specials = [f64::NAN, -f64::NAN, -0.0, 0.0, f64::INFINITY, 3.0];
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        for round in 0..20 {
+            let values: Vec<f64> = (0..3_072)
+                .map(|_| {
+                    let r = next();
+                    match r % 10 {
+                        0 if round % 2 == 1 => specials[(r >> 8) as usize % specials.len()],
+                        1..=3 => ((r >> 8) % 16) as f64,
+                        _ => ((r >> 8) % 100_000) as f64 / 7.0 - 5_000.0,
+                    }
+                })
+                .collect();
+            // 12 full buffers, so both sketches end with every value flushed.
+            let fast = sketch_of(values.iter().copied(), 0.01);
+            let mut reference = GkSketch::new(0.01);
+            for chunk in values.chunks(256) {
+                let mut sorted = chunk.to_vec();
+                sorted.sort_by(|a, b| a.total_cmp(b));
+                for v in sorted {
+                    reference.insert_sorted(v, 0);
+                }
+                reference.compress();
+            }
+            let bits = |s: &GkSketch| -> Vec<(u64, u64, u64)> {
+                s.entries
+                    .iter()
+                    .map(|e| (e.value.to_bits(), e.g, e.delta))
+                    .collect()
+            };
+            assert_eq!(bits(&fast), bits(&reference), "round {round}");
+        }
     }
 
     #[test]

@@ -26,15 +26,16 @@
 //!
 //! * [`codec`] — exact binary roundtrip for `Value`/`Tuple` (NULLs, NaN bit
 //!   patterns, strings of any length).
-//! * [`compress`] — the dependency-free LZ page codec (`RDO_SPILL_COMPRESS`,
-//!   on by default): pages that shrink are stored compressed, the rest raw,
-//!   with both stored and logical byte volumes reported.
+//! * [`compress`] — the dependency-free LZ page codec (on by default;
+//!   `SpillConfig::with_compression` switches it): pages that shrink are
+//!   stored compressed, the rest raw, with both stored and logical byte
+//!   volumes reported.
 //! * [`buffer`] — the fixed-frame [`BufferPool`]: CLOCK eviction, pin/unpin,
 //!   dirty-page writeback, graceful bypass when every frame is pinned, and
 //!   `prefetch_page` for the scan read-ahead.
 //! * [`store`] — [`SpilledPartitions`], the paged per-partition store with a
-//!   streaming `scan_pages` API the executors feed through the existing
-//!   per-partition kernels (read-ahead prefetch under `RDO_SPILL_PREFETCH`),
+//!   streaming `scan_pages` API the executor feeds through the existing
+//!   per-partition kernels (a 2-page read-ahead prefetch by default),
 //!   and [`SpillPartitionWriter`], the page-at-a-time partition router whose
 //!   transient footprint is bounded by partitions × page size.
 //! * [`manager`] — [`SpillManager`] (budget accounting, temp-dir ownership,
@@ -93,7 +94,6 @@ pub mod store;
 pub use buffer::{BufferPool, PoolDiagnostics, SpillFile};
 pub use manager::{
     SpillConfig, SpillManager, SpillReadTally, SpillWriteTally, DEFAULT_PAGE_SIZE,
-    DEFAULT_PREFETCH_PAGES, JOIN_BUDGET_ENV, SPILL_BUDGET_ENV, SPILL_COMPRESS_ENV,
-    SPILL_PREFETCH_ENV,
+    DEFAULT_PREFETCH_PAGES, JOIN_BUDGET_ENV, SPILL_BUDGET_ENV,
 };
 pub use store::{SpillPartitionWriter, SpilledPartitions};

@@ -19,15 +19,6 @@ pub const SPILL_BUDGET_ENV: &str = "RDO_SPILL_BUDGET";
 /// resident, and spilled partition pairs are joined recursively.
 pub const JOIN_BUDGET_ENV: &str = "RDO_JOIN_BUDGET";
 
-/// Environment variable switching spill-page compression on or off
-/// (`0`/`1`, `true`/`false`, `on`/`off`). Compression is **on by default**;
-/// exporting `RDO_SPILL_COMPRESS=0` restores raw pages.
-pub const SPILL_COMPRESS_ENV: &str = "RDO_SPILL_COMPRESS";
-
-/// Environment variable setting the read-ahead lookahead, in pages, for scans
-/// of spill files (`0` disables prefetching).
-pub const SPILL_PREFETCH_ENV: &str = "RDO_SPILL_PREFETCH";
-
 /// Default page size of the spill store (64 KiB, AsterixDB's frame default).
 pub const DEFAULT_PAGE_SIZE: usize = 64 * 1024;
 
@@ -86,13 +77,13 @@ impl SpillConfig {
         Self::default()
     }
 
-    /// The default configuration with the `RDO_SPILL_BUDGET`,
-    /// `RDO_JOIN_BUDGET`, `RDO_SPILL_COMPRESS` and `RDO_SPILL_PREFETCH`
-    /// environment variables applied — `DynamicConfig::default()` uses this,
-    /// so exporting any of them drives the whole driver (and the tier-1 test
-    /// suite) through the corresponding out-of-core path without code
-    /// changes. All four parse through the shared warn-on-invalid helpers of
-    /// [`rdo_common::env`].
+    /// The default configuration with the `RDO_SPILL_BUDGET` and
+    /// `RDO_JOIN_BUDGET` environment variables applied —
+    /// `DynamicConfig::default()` uses this, so exporting either drives the
+    /// whole driver (and the tier-1 test suite) through the corresponding
+    /// out-of-core path without code changes. Both parse through the shared
+    /// warn-on-invalid helpers of [`rdo_common::env`]. Compression and
+    /// read-ahead keep their defaults here; only the builders change them.
     pub fn from_env() -> Self {
         Self::from_env_with(|var| std::env::var(var).ok())
     }
@@ -109,7 +100,6 @@ impl SpillConfig {
         ) -> Option<T> {
             lookup(var).and_then(|raw| env::parse_or_warn(var, &raw, fallback, parser))
         }
-        let defaults = Self::default();
         Self {
             budget_bytes: get(
                 &lookup,
@@ -123,21 +113,7 @@ impl SpillConfig {
                 "the grace hash join stays disabled",
                 env::parse_env_u64,
             ),
-            compress: get(
-                &lookup,
-                SPILL_COMPRESS_ENV,
-                "spill-page compression stays on",
-                env::parse_env_bool,
-            )
-            .unwrap_or(defaults.compress),
-            prefetch_pages: get(
-                &lookup,
-                SPILL_PREFETCH_ENV,
-                "the default read-ahead stays in effect",
-                env::parse_env_usize,
-            )
-            .unwrap_or(defaults.prefetch_pages),
-            ..defaults
+            ..Self::default()
         }
     }
 
@@ -423,28 +399,21 @@ mod tests {
     #[test]
     fn fast_path_env_overrides_apply_and_garbage_keeps_defaults() {
         let config = SpillConfig::from_env_with(|var| match var {
-            SPILL_COMPRESS_ENV => Some("0".to_string()),
-            SPILL_PREFETCH_ENV => Some("6".to_string()),
             SPILL_BUDGET_ENV => Some("1048576".to_string()),
             _ => None,
         });
-        assert!(
-            !config.compress,
-            "RDO_SPILL_COMPRESS=0 turns compression off"
-        );
-        assert_eq!(config.prefetch_pages, 6);
         assert_eq!(config.budget_bytes, Some(1_048_576));
         assert_eq!(config.join_budget_bytes, None);
+        assert!(config.compress, "page compression stays on");
+        assert_eq!(config.prefetch_pages, DEFAULT_PREFETCH_PAGES);
 
         let config = SpillConfig::from_env_with(|var| match var {
-            SPILL_COMPRESS_ENV => Some("sideways".to_string()),
-            SPILL_PREFETCH_ENV => Some("-3".to_string()),
+            JOIN_BUDGET_ENV => Some("lots".to_string()),
             _ => None,
         });
-        assert!(config.compress, "invalid switch warns and stays on");
         assert_eq!(
-            config.prefetch_pages, DEFAULT_PREFETCH_PAGES,
-            "invalid lookahead warns and keeps the default"
+            config.join_budget_bytes, None,
+            "an invalid budget warns and keeps grace off"
         );
     }
 

@@ -90,7 +90,7 @@ pub mod prelude {
         FailureInjector, OverheadReport, QueryRunner, RunReport, Strategy,
     };
     pub use rdo_exec::{
-        AggregateExpr, AggregateFunc, CmpOp, CostModel, ExecutionMetrics, Executor, JoinAlgorithm,
+        AggregateExpr, AggregateFunc, CmpOp, CostModel, ExecutionMetrics, JoinAlgorithm,
         PhysicalPlan, PostProcess, Predicate, SortKey,
     };
     pub use rdo_net::{LocalCluster, TcpTransport};

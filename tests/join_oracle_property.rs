@@ -85,7 +85,7 @@ fn run_join(catalog: &Catalog, algorithm: JoinAlgorithm) -> Vec<Vec<Value>> {
         FieldRef::new("r", "rk"),
         algorithm,
     );
-    let executor = Executor::new(catalog);
+    let executor = ParallelExecutor::new(catalog, ParallelConfig::serial());
     let mut metrics = ExecutionMetrics::new();
     let relation = executor.execute_to_relation(&plan, &mut metrics).unwrap();
     let mut rows: Vec<Vec<Value>> = relation
@@ -321,8 +321,9 @@ fn exact_multiset(rows: &[Tuple]) -> Vec<String> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// The executors' scans — resident partitions as one page, spilled ones
-    /// page by page — keep exactly the rows the naive filter keeps.
+    /// The executor's scans — resident partitions as one page, spilled ones
+    /// page by page — keep exactly the rows the naive filter keeps, on one
+    /// worker and on two.
     #[test]
     fn executor_scans_match_the_naive_filter_resident_and_spilled(
         rows in edge_rows(),
@@ -339,7 +340,9 @@ proptest! {
         for table in ["t", "t_spilled"] {
             let plan = PhysicalPlan::scan_aliased("t", table).with_predicates(predicates.clone());
             let mut metrics = ExecutionMetrics::new();
-            let serial = Executor::new(&catalog).execute(&plan, &mut metrics).unwrap();
+            let serial = ParallelExecutor::new(&catalog, ParallelConfig::serial())
+                .execute(&plan, &mut metrics)
+                .unwrap();
             prop_assert_eq!(
                 exact_multiset(&serial.all_rows()),
                 exact_multiset(&expected),
